@@ -1,10 +1,14 @@
 """Compare the compiled kernels against the pure-Python fallback.
 
-Times the three hot paths on realistic workloads:
+Times the hot kernels on realistic workloads:
 
 * best_support  -- maximizing a functional over a large set of choice types
                    (the inner loop of every axiom check),
-* sub_scaled    -- one simplex tableau elimination row,
+* bareiss_row   -- one fraction-free row update of the simplex's kept
+                   [B^-1 | beta] block (44 wide: a 7-alternative pairwise
+                   instance has 43 rows),
+* sub_scaled    -- one row step of the exact row reduction (RREF) that the
+                   facet enumeration runs,
 * dot           -- plain exact inner products,
 
 then a full end-to-end membership decision under each backend. Run as
@@ -51,17 +55,17 @@ def bench_kernels():
     factor = Fraction(3, 7)
     vec_a = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(n * 4)]
     vec_b = [rng.randrange(-3, 4) for _ in range(n * 4)]
-    int_prow = [rng.randrange(-50, 51) for _ in range(n * 8)]
-    int_row_base = [rng.randrange(-50, 51) * 6 for _ in range(n * 8)]
+    int_prow = [rng.randrange(-50, 51) for _ in range(44)]
+    int_row_base = [rng.randrange(-50, 51) * 6 for _ in range(44)]
 
     cases = {
         "best_support (720 types x 10)": lambda impl: (
             lambda: [impl.best_support(t_int, supports) for _ in range(20)]
         ),
-        "bareiss_row (240-wide x 2000)": lambda impl: (
+        "bareiss_row (44-wide x 10000)": lambda impl: (
             lambda: [
                 impl.bareiss_row(list(int_row_base), int_prow, 12, 18, 6)
-                for _ in range(2000)
+                for _ in range(10000)
             ]
         ),
         "sub_scaled (60-wide row x 2000)": lambda impl: (

@@ -1,8 +1,9 @@
 """Hot numeric kernels with a compiled fast path.
 
 The compiled extension (``ruhull._kernels._speedups``, built from Cython) and
-the pure-Python module (``ruhull._kernels._pure``) implement the same five
-functions; the fastest available backend is picked once at import time. Set
+the pure-Python module (``ruhull._kernels._pure``) implement the same
+functions (``dot``, ``best_support``, ``sub_scaled``, ``bareiss_row`` and
+``combine``); the fastest available backend is picked once at import time. Set
 ``RUHULL_PURE=1`` in the environment to force the fallback, e.g. to compare
 the two backends (see ``benchmarks/bench_kernels.py``).
 
@@ -25,7 +26,6 @@ else:
 BACKEND = "pure" if _impl is _pure else "compiled"
 
 dot = _impl.dot
-dot_support = _impl.dot_support
 best_support = _impl.best_support
 sub_scaled = _impl.sub_scaled
 bareiss_row = _impl.bareiss_row

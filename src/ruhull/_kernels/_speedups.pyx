@@ -21,17 +21,8 @@ def dot(a, b):
     return s
 
 
-def dot_support(t, support):
-    """Sum of t[i] over the index tuple `support`."""
-    cdef Py_ssize_t k, m = len(support)
-    s = 0
-    for k in range(m):
-        s = s + t[support[k]]
-    return s
-
-
 def best_support(t, supports):
-    """Maximize dot_support(t, s) over supports; first maximizer wins.
+    """Max over s in supports of sum(t[i] for i in s); first maximizer wins.
 
     Returns (best value, index of first maximizer).
     """

@@ -1,35 +1,57 @@
 """Exact linear feasibility over the rationals.
 
-Solves "find x >= 0 with A x = b" by a Phase-I simplex; when the system is
-infeasible the final multipliers give a Farkas certificate y with y A <= 0
-componentwise and y b > 0, read off the artificial columns. Bland's
-smallest-index rule guarantees termination.
+Solves "find x >= 0 with A x = b" by a revised Phase-I simplex; when the
+system is infeasible the final duals give a Farkas certificate y with
+y A <= 0 componentwise and y b > 0.
 
-The tableau is kept fraction-free: every row is pre-scaled to integers and a
-pivot applies the two-term determinant update
+Every row is first oriented so its right-hand side is nonnegative and scaled
+to integers; the structural columns are then stored sparsely, as their
+nonzero entries. One artificial variable per row starts basic. The simplex
+keeps only the m x (m + 1) block [B^-1 | beta] of the tableau (B the basis,
+beta the basic values) together with the objective row restricted to those
+columns; a structural column of the tableau is rebuilt on demand as
+B^-1 a_j.
 
-    row[j] <- (row[j] * pivot - row[col] * pivot_row[j]) / divisor
+Each iteration prices every structural column against the duals w: the
+objective entry of artificial i is its reduced cost 1 - w_i, so the reduced
+cost of column j is -w . a_j and the column with the largest w . a_j > 0
+enters (ties to the lowest index). The leaving row is chosen by the lexicographic ratio test on
+the rows of [beta | B^-1] divided by the entering column (Dantzig, Orden &
+Wolfe, 1955). Those rows start lexicographically positive (beta >= 0,
+B^-1 = I), stay so, and are pairwise distinct because B^-1 is nonsingular,
+so the choice is unique and the objective row strictly increases
+lexicographically: no basis repeats and the method terminates under any
+entering rule. Artificial columns are never priced, so an artificial that
+leaves the basis never returns; this does not change feasibility (a feasible
+point uses no artificials).
 
-with ``divisor`` the previous pivot (the pivot row itself stays put). Entries
-then always equal the true rational tableau times the current positive
-divisor, the division is exact because entries are minors of the original
-matrix, and everything runs on plain integers instead of per-operation gcd
-normalization. Sign tests and ratio comparisons only ever see true values
-scaled by a positive constant, so the pivot rule is unaffected.
+The kept block is fraction-free: a pivot applies the two-term determinant
+update
 
-Artificial variables start basic and are barred from re-entering the basis
-once they leave; this never changes feasibility (a feasible point uses no
-artificials) and keeps the termination argument intact. Their columns stay in
-the tableau so the certificate can be extracted at the end.
+    row[k] <- (row[k] * pivot - d * pivot_row[k]) / divisor
 
-Intended for desk-scale systems (tens of rows, hundreds of columns).
+to every other row and to the objective row, with d the row's entry in the
+entering column (rebuilt, or priced for the objective row) and ``divisor``
+the previous pivot (the pivot row itself stays put). Entries then equal the true rational
+values times the current positive divisor; the division is exact because
+they are minors of the scaled [A | I | b], and everything runs on plain
+integers. The duals w, the rebuilt column and the priced values carry the
+same factor, so every sign test and ratio comparison sees true values scaled
+by one positive constant and the pivot rules are unaffected.
+
+At the end the objective value is zero (a basic feasible point whose support
+columns are linearly independent) or positive (the duals w / divisor, mapped
+back through the row scaling, are the Farkas multipliers).
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
+from operator import attrgetter
 from typing import Sequence, Union
 
 from . import _kernels
@@ -64,88 +86,93 @@ def solve_equality_feasibility(
 
     # Orient every row so its right-hand side is nonnegative, then clear its
     # denominators. Positive row scalings change neither feasibility nor any
-    # sign the pivot rule looks at; the Farkas multipliers are mapped back
-    # through them at the end. Artificial columns keep coefficient 1 so the
-    # starting basis is the identity (divisor 1).
+    # sign the pivot rules look at; the Farkas multipliers are mapped back
+    # through them at the end.
     scales: list[int] = []
-    tableau: list[list[int]] = []
-    for i in range(m):
-        if len(rows[i]) != n:
+    block: list[list[int]] = []  # row i: [scaled B^-1 row i | scaled beta_i]
+    denominator = attrgetter("denominator")
+    for i, row in enumerate(rows):
+        if len(row) != n:
             raise ValidationError("ragged coefficient matrix")
         b = Fraction(rhs[i])
-        entries = [Fraction(v) for v in rows[i]]
-        denom = math.lcm(b.denominator, *(e.denominator for e in entries))
+        denom = math.lcm(b.denominator, *set(map(denominator, row)))
         scale = -denom if b < 0 else denom
-        row = [int(e * scale) for e in entries]
-        row.extend(1 if k == i else 0 for k in range(m))
-        row.append(int(b * scale))
         scales.append(scale)
-        tableau.append(row)
+        unit = [0] * (m + 1)
+        unit[i] = 1
+        unit[m] = (b * scale).numerator
+        block.append(unit)
 
-    width = n + m + 1
-    rhs_col = width - 1
+    # Structural columns, stored sparsely: a column is the tuple of its
+    # nonzeros, each named by its index into `entries`, the distinct
+    # (row, scaled value) pairs of the matrix. Pricing multiplies once per
+    # distinct pair rather than once per nonzero (a 0/1 matrix has about one
+    # pair per row).
+    entry_id: defaultdict[tuple[int, Rational], int] = defaultdict(count().__next__)
+    columns = []
+    for col in zip(*rows):
+        nonzero = list(compress(range(m), col))
+        columns.append(
+            tuple(map(entry_id.__getitem__, zip(nonzero, map(col.__getitem__, nonzero))))
+        )
+    entries = [(i, (e * scales[i]).numerator) for i, e in entry_id]
 
-    # Reduced costs for "minimize the sum of artificials": cost vector minus
-    # the sum of the rows; the rhs cell is the negated objective value (both
-    # implicitly times the divisor, which starts at 1).
-    obj = [0] * n + [1] * m + [0]
-    for row in tableau:
-        for j in range(width):
-            if row[j]:
-                obj[j] -= row[j]
-
-    basis = list(range(n, n + m))
+    # Objective row of "minimize the sum of artificials" on the kept columns:
+    # artificial reduced costs start at 0 and the rhs cell is the negated
+    # objective value (both times the divisor, which starts at 1).
+    obj = [0] * m + [-sum(r[m] for r in block)]
+    basis = [-1] * m  # structural column basic in each row; -1: its artificial
     divisor = 1
 
     while True:
+        w = [divisor - v for v in obj[:m]]
+        priced = [w[i] * v for i, v in entries]
         entering = -1
-        for j in range(n):  # structural columns only; artificials never re-enter
-            if obj[j] < 0:
+        best = 0
+        for j, column in enumerate(columns):
+            d = sum(map(priced.__getitem__, column))
+            if d > best:
+                best = d
                 entering = j
-                break
         if entering < 0:
             break
-        leaving_row = -1
-        best_num = best_den = 0
+
+        nonzeros = [entries[k] for k in columns[entering]]
+        col = [sum(r[i] * v for i, v in nonzeros) for r in block]
+        leaving = -1
         for i in range(m):
-            coeff = tableau[i][entering]
-            if coeff > 0:
-                b_i = tableau[i][rhs_col]
-                if leaving_row < 0:
-                    better = True
-                else:
-                    lhs = b_i * best_den
-                    rhs_cmp = best_num * coeff
-                    better = lhs < rhs_cmp or (
-                        lhs == rhs_cmp and basis[i] < basis[leaving_row]
-                    )
-                if better:
-                    leaving_row = i
-                    best_num = b_i
-                    best_den = coeff
-        if leaving_row < 0:
+            if col[i] > 0 and (leaving < 0 or _lex_less(block, col, i, leaving, m)):
+                leaving = i
+        if leaving < 0:
             # Cannot happen: the Phase-I objective is bounded below by zero.
             raise AssertionError("phase-I simplex reported an unbounded column")
-        prow = tableau[leaving_row]
-        pivot = prow[entering]
-        for i in range(m):
-            if i != leaving_row:
-                row = tableau[i]
-                _kernels.bareiss_row(row, prow, row[entering], pivot, divisor)
-        _kernels.bareiss_row(obj, prow, obj[entering], pivot, divisor)
-        divisor = pivot
-        basis[leaving_row] = entering
 
-    if obj[rhs_col] == 0:  # objective value is -obj[rhs_col] / divisor
-        x = [Fraction(0)] * n
+        prow = block[leaving]
+        pivot = col[leaving]
         for i in range(m):
-            if basis[i] < n:
-                x[basis[i]] = Fraction(tableau[i][rhs_col], divisor)
+            if i != leaving:
+                _kernels.bareiss_row(block[i], prow, col[i], pivot, divisor)
+        _kernels.bareiss_row(obj, prow, -best, pivot, divisor)
+        divisor = pivot
+        basis[leaving] = entering
+
+    if obj[m] == 0:  # objective value is -obj[m] / divisor
+        x = [Fraction(0)] * n
+        for i, j in enumerate(basis):
+            if j >= 0:
+                x[j] = Fraction(block[i][m], divisor)
         return FeasiblePoint(tuple(x))
 
-    # Reduced cost of artificial i is obj[n+i] / divisor; its multiplier is
-    # 1 minus that, mapped back through the row scaling.
-    y = tuple(
-        (1 - Fraction(obj[n + i], divisor)) * scales[i] for i in range(m)
-    )
+    y = tuple(Fraction(wi, divisor) * s for wi, s in zip(w, scales))
     return FarkasCertificate(y)
+
+
+def _lex_less(block, col, a: int, b: int, m: int) -> bool:
+    """Whether row a of [beta | B^-1] / col[a] is lexicographically below row b's."""
+    ra, rb, ca, cb = block[a], block[b], col[a], col[b]
+    for k in (m, *range(m)):
+        lhs = ra[k] * cb
+        rhs = rb[k] * ca
+        if lhs != rhs:
+            return lhs < rhs
+    raise AssertionError("basis inverse has proportional rows")

@@ -39,7 +39,7 @@ from .enumeration import (
     types_from_explicit,
     types_from_linear_orders,
 )
-from .errors import InstanceParseError, ValidationError
+from .errors import CapExceeded, InstanceParseError, ValidationError
 from .lifting import (
     LiftedLayout,
     check_restricted_arsp,
@@ -518,142 +518,188 @@ def run_check(
     )
 
 
-def run_verify(instance: Instance, report: dict) -> tuple[bool, list[str]]:
+def run_verify(instance: Instance, report: Any) -> tuple[bool, list[str]]:
     """Exactly re-validate a structured check report against an instance.
 
-    Returns (verified, failure messages). Every claim in the report is
-    recomputed with exact arithmetic: digests, mixture reconstruction,
-    certificate pipeline stages, and the strict violation itself.
+    Returns (verified, failure messages); a malformed report is a failure,
+    never an exception. Every claim in the report is recomputed with exact
+    arithmetic: digests, mixture reconstruction, certificate pipeline stages,
+    and the strict violation itself. Integer fields must hold ints and
+    rational fields strings or ints: a float or a boolean is rejected, never
+    rounded or truncated.
     """
-    failures: list[str] = []
     if not isinstance(report, dict):
         return False, ["report is not a JSON object"]
     if report.get("format") != REPORT_FORMAT:
-        failures.append(f"unknown report format {report.get('format')!r}")
-        return False, failures
+        return False, [f"unknown report format {report.get('format')!r}"]
     if report.get("instance_digest") != instance.digest:
-        failures.append(
-            "digest mismatch: report was produced from a different instance"
-        )
-        return False, failures
+        return False, ["digest mismatch: report was produced from a different instance"]
 
-    lifted_used = bool(report.get("lifted", False))
+    lifted_used = report.get("lifted", False)
+    if not isinstance(lifted_used, bool):
+        return False, ["the lifted flag is not a boolean"]
     if lifted_used and not instance.set_valued:
-        lifted, pi, type_set = lifted_view(instance)
+        try:
+            lifted, pi, type_set = lifted_view(instance)
+        except CapExceeded as exc:
+            return False, [f"the report claims a lifted layout: {exc}"]
     else:
         lifted = instance.lifted
         pi = instance.pi
         type_set = instance.type_set
-    layout = pi.layout
 
     verdict = report.get("verdict")
     if verdict == "rationalizable":
-        mixture = report.get("mixture")
-        if not isinstance(mixture, dict) or "weights" not in mixture:
-            return False, ["rationalizable report lacks a mixture"]
-        total = Fraction(0)
-        combined = [Fraction(0)] * layout.coordinate_count
-        known = {t.bits: t for t in type_set.types}
-        for k, item in enumerate(mixture["weights"]):
-            try:
-                weight = Fraction(str(item["weight"]))
-            except (KeyError, ValueError, ZeroDivisionError, TypeError):
-                failures.append(f"mixture entry {k}: malformed weight")
-                continue
-            bits = tuple(item.get("type", ()))
-            if bits not in known:
-                failures.append(f"mixture entry {k}: type is not in the admissible set")
-                continue
-            if weight <= 0:
-                failures.append(f"mixture entry {k}: weight {weight} is not positive")
-            total += weight
-            for i, b in enumerate(bits):
-                if b:
-                    combined[i] += weight
-        if total != 1:
-            failures.append(f"mixture weights sum to {total}, not 1")
-        if tuple(combined) != tuple(pi.values):
-            failures.append("mixture does not reconstruct the observed probabilities")
+        failures = _verify_mixture(report.get("mixture"), pi, type_set)
     elif verdict == "not-rationalizable":
-        cert = report.get("certificate")
-        if not isinstance(cert, dict):
-            return False, ["non-rationalizable report lacks a certificate"]
-        try:
-            separating = tuple(int(v) for v in cert["separating"])
-            claimed_gap = Fraction(str(cert["gap"]))
-            claimed_pos = tuple(Fraction(str(v)) for v in cert["positivized"])
-            aggregate = tuple(int(v) for v in cert["integer_aggregate"])
-            lhs = Fraction(str(cert["lhs"]))
-            rhs = Fraction(str(cert["rhs"]))
-            trial_items = cert["trials"]
-        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-            return False, [f"malformed certificate: {exc}"]
-        if len(separating) != layout.coordinate_count:
-            return False, ["certificate separating vector has the wrong length"]
-        best, _ = max_over_types(separating, type_set)
-        gap = inner(separating, pi.values) - best
-        if gap != claimed_gap:
-            failures.append(f"separating gap is {gap}, report claims {claimed_gap}")
-        if gap <= 0:
-            failures.append("separating vector does not separate")
-        if positivize(separating) != claimed_pos:
-            failures.append("positivized vector does not match the pipeline")
-        if integerize(claimed_pos) != aggregate:
-            failures.append("integer aggregate does not match the pipeline")
-        trials = []
-        rebuilt = [0] * layout.coordinate_count
-        for k, item in enumerate(trial_items):
-            try:
-                problem = int(item["problem"]) - 1
-                coords = [int(c) - 1 for c in item["coordinates"]]
-                members = [str(x) for x in item.get("members", ())]
-            except (KeyError, ValueError, TypeError):
-                failures.append(f"trial {k}: malformed")
-                continue
-            if not coords or not all(
-                0 <= c < layout.coordinate_count for c in coords
-            ):
-                failures.append(f"trial {k}: coordinates out of range")
-                continue
-            blocks = {layout.block_of(c) for c in coords}
-            if blocks != {problem}:
-                failures.append(f"trial {k}: support is not inside problem {problem + 1}")
-                continue
-            if members and members != [layout.coordinate_info(c)[1] for c in coords]:
-                failures.append(f"trial {k}: member labels disagree with coordinates")
-                continue
-            for c in coords:
-                rebuilt[c] += 1
-            bits = tuple(1 if i in set(coords) else 0 for i in range(layout.coordinate_count))
-            trials.append(Trial(bits, problem))
-        if tuple(rebuilt) != aggregate:
-            failures.append("trials do not aggregate to the integer aggregate")
-        if trials:
-            sequence = make_trial_sequence(trials, layout)
-            check_lhs = inner(sequence.aggregate, pi.values)
-            check_rhs, _ = max_over_types(sequence.aggregate, type_set)
-            if check_lhs != lhs:
-                failures.append(f"lhs is {check_lhs}, report claims {lhs}")
-            if check_rhs != rhs:
-                failures.append(f"rhs is {check_rhs}, report claims {rhs}")
-            if not check_lhs > check_rhs:
-                failures.append("trial sequence does not strictly violate the axiom")
-        else:
-            failures.append("certificate contains no trials")
+        failures = _verify_certificate(report.get("certificate"), pi, type_set)
     else:
         return False, [f"unknown verdict {verdict!r}"]
 
     if "restricted_arsp" in report:
+        claim = report["restricted_arsp"]
         if lifted is None:
             failures.append("restricted-axiom claim on an instance that was not lifted")
+        elif not isinstance(claim, dict) or not isinstance(claim.get("holds"), bool):
+            failures.append("restricted-axiom claim is not {\"holds\": true|false}")
         else:
             actual = check_restricted_arsp(pi, type_set, lifted)
-            claimed = report["restricted_arsp"].get("holds")
-            if actual != claimed:
+            if actual != claim["holds"]:
                 failures.append(
-                    f"restricted axiom recomputes to {actual}, report claims {claimed}"
+                    f"restricted axiom recomputes to {actual}, report claims {claim['holds']}"
                 )
     return not failures, failures
+
+
+def _ints(value: Any) -> tuple[int, ...]:
+    """The entries of a list of ints; raises ValueError for any other value."""
+    if not isinstance(value, (list, tuple)) or any(type(v) is not int for v in value):
+        raise ValueError("expected a list of integers")
+    return tuple(value)
+
+
+def _verify_mixture(
+    mixture: Any, pi: StochasticChoiceVector, type_set: RationalTypeSet
+) -> list[str]:
+    if not isinstance(mixture, dict) or not isinstance(
+        mixture.get("weights"), (list, tuple)
+    ):
+        return ["rationalizable report lacks a mixture"]
+    failures: list[str] = []
+    total = Fraction(0)
+    combined = [Fraction(0)] * pi.layout.coordinate_count
+    known = {t.bits for t in type_set.types}
+    for k, item in enumerate(mixture["weights"]):
+        if not isinstance(item, dict):
+            failures.append(f"mixture entry {k}: not an object")
+            continue
+        try:
+            weight = parse_rational(item["weight"], f"mixture entry {k}")
+        except (KeyError, ValueError, ZeroDivisionError):
+            failures.append(f"mixture entry {k}: malformed weight")
+            continue
+        try:
+            bits = _ints(item["type"])
+        except (KeyError, ValueError):
+            failures.append(f"mixture entry {k}: malformed type")
+            continue
+        if bits not in known:
+            failures.append(f"mixture entry {k}: type is not in the admissible set")
+            continue
+        if weight <= 0:
+            failures.append(f"mixture entry {k}: weight {weight} is not positive")
+        total += weight
+        for i, b in enumerate(bits):
+            if b:
+                combined[i] += weight
+    if total != 1:
+        failures.append(f"mixture weights sum to {total}, not 1")
+    if tuple(combined) != tuple(pi.values):
+        failures.append("mixture does not reconstruct the observed probabilities")
+    return failures
+
+
+def _verify_certificate(
+    cert: Any, pi: StochasticChoiceVector, type_set: RationalTypeSet
+) -> list[str]:
+    if not isinstance(cert, dict):
+        return ["non-rationalizable report lacks a certificate"]
+    layout = pi.layout
+    n = layout.coordinate_count
+    try:
+        separating = _ints(cert["separating"])
+        claimed_gap = parse_rational(cert["gap"], "gap")
+        if not isinstance(cert["positivized"], (list, tuple)):
+            raise ValueError("positivized vector is not a list")
+        claimed_pos = tuple(parse_rational(v, "positivized") for v in cert["positivized"])
+        aggregate = _ints(cert["integer_aggregate"])
+        lhs = parse_rational(cert["lhs"], "lhs")
+        rhs = parse_rational(cert["rhs"], "rhs")
+        trial_items = cert["trials"]
+        if not isinstance(trial_items, (list, tuple)):
+            raise ValueError("trials are not a list")
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
+        return [f"malformed certificate: {exc}"]
+    if len(separating) != n:
+        return ["certificate separating vector has the wrong length"]
+
+    failures: list[str] = []
+    best, _ = max_over_types(separating, type_set)
+    gap = inner(separating, pi.values) - best
+    if gap != claimed_gap:
+        failures.append(f"separating gap is {gap}, report claims {claimed_gap}")
+    if gap <= 0:
+        failures.append("separating vector does not separate")
+    positivized = positivize(separating)
+    if positivized != claimed_pos:
+        failures.append("positivized vector does not match the pipeline")
+    if integerize(positivized) != aggregate:
+        failures.append("integer aggregate does not match the pipeline")
+
+    trials = []
+    rebuilt = [0] * n
+    for k, item in enumerate(trial_items):
+        try:
+            if not isinstance(item, dict) or type(item["problem"]) is not int:
+                raise ValueError
+            problem = item["problem"] - 1
+            coords = [c - 1 for c in _ints(item["coordinates"])]
+            members = [str(x) for x in item.get("members", ())]
+        except (KeyError, ValueError, TypeError):
+            failures.append(f"trial {k}: malformed")
+            continue
+        if not coords or not all(0 <= c < n for c in coords):
+            failures.append(f"trial {k}: coordinates out of range")
+            continue
+        if len(set(coords)) != len(coords):
+            failures.append(f"trial {k}: a coordinate is repeated")
+            continue
+        if {layout.block_of(c) for c in coords} != {problem}:
+            failures.append(f"trial {k}: support is not inside problem {problem + 1}")
+            continue
+        if members and members != [layout.coordinate_info(c)[1] for c in coords]:
+            failures.append(f"trial {k}: member labels disagree with coordinates")
+            continue
+        bits = [0] * n
+        for c in coords:
+            bits[c] = 1
+            rebuilt[c] += 1
+        trials.append(Trial(tuple(bits), problem))
+    if tuple(rebuilt) != aggregate:
+        failures.append("trials do not aggregate to the integer aggregate")
+    if not trials:
+        failures.append("certificate contains no trials")
+        return failures
+    sequence = make_trial_sequence(trials, layout)
+    check_lhs = inner(sequence.aggregate, pi.values)
+    check_rhs, _ = max_over_types(sequence.aggregate, type_set)
+    if check_lhs != lhs:
+        failures.append(f"lhs is {check_lhs}, report claims {lhs}")
+    if check_rhs != rhs:
+        failures.append(f"rhs is {check_rhs}, report claims {rhs}")
+    if not check_lhs > check_rhs:
+        failures.append("trial sequence does not strictly violate the axiom")
+    return failures
 
 
 def lifted_instance_tree(instance: Instance) -> dict:

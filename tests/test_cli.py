@@ -163,6 +163,16 @@ class TestOtherCommands:
         assert main(["verify", path, str(report_path)]) == 2
         assert "verified: false" in capsys.readouterr().out
 
+    def test_verify_malformed_report_exits_two(self, write_instance, tmp_path, capsys):
+        path = write_instance(CYCLIC_TREE)
+        main(["check", path, "--format", "structured"])
+        tree = json.loads(capsys.readouterr().out)
+        tree["certificate"]["trials"] = 5
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(tree))
+        assert main(["verify", path, str(report_path)]) == 2
+        assert "verified: false" in capsys.readouterr().out
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -4,11 +4,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruhull import (
+    MixingDistribution,
+    correspondence_types_from_weak_orders,
+    enumerate_facets,
+    facet_membership_oracle,
+    lift_layout,
+    membership,
+    types_from_linear_orders,
+)
+from ruhull import _kernels
 from ruhull.errors import ValidationError
 from ruhull.exactlp import (
     FarkasCertificate,
     FeasiblePoint,
     solve_equality_feasibility,
+)
+
+from conftest import (
+    _rref,
+    make_instance,
+    random_mixture_pi,
+    random_rational_pi,
+    seeded,
 )
 
 
@@ -19,6 +37,11 @@ def check_result(rows, rhs, result):
         assert all(v >= 0 for v in result.x)
         for i in range(m):
             assert sum(rows[i][j] * result.x[j] for j in range(n)) == rhs[i]
+        # A basic solution: its support columns are linearly independent
+        # (reduce_support relies on this).
+        support = [j for j in range(n) if result.x[j]]
+        independent, _ = _rref([[row[j] for row in rows] for j in support])
+        assert len(independent) == len(support)
     else:
         y = result.y
         for j in range(n):
@@ -95,7 +118,7 @@ def test_empty_rejected():
 
 def test_degenerate_ties_terminate():
     # Heavy degeneracy: identical rows, zero right-hand sides, and duplicated
-    # columns force repeated ratio-test ties; the smallest-index rule must
+    # columns force repeated ratio-test ties; the lexicographic rule must
     # still terminate and certify correctly.
     rows = [
         [1, 1, 1, 1, -1, -1],
@@ -139,3 +162,81 @@ def test_planted_solutions_are_found(data):
     result = solve_equality_feasibility(rows, rhs)
     assert isinstance(result, FeasiblePoint)
     check_result(rows, rhs, result)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_degenerate_systems_terminate(data):
+    # Duplicated (and negated) rows, duplicated columns and zero or tiny
+    # right-hand sides: ratio ties everywhere, yet every run must stop with a
+    # self-validating witness.
+    m0 = data.draw(st.integers(1, 4))
+    n0 = data.draw(st.integers(1, 5))
+    base = [[data.draw(st.integers(-2, 2)) for _ in range(n0)] for _ in range(m0)]
+    row_picks = data.draw(st.lists(st.integers(0, m0 - 1), min_size=1, max_size=8))
+    col_picks = data.draw(st.lists(st.integers(0, n0 - 1), min_size=1, max_size=10))
+    signs = [data.draw(st.sampled_from([1, 1, 2, -1])) for _ in row_picks]
+    rows = [[s * base[i][j] for j in col_picks] for s, i in zip(signs, row_picks)]
+    rhs_kind = data.draw(st.sampled_from(["zero", "small", "planted"]))
+    if rhs_kind == "zero":
+        rhs = [0] * len(rows)
+    elif rhs_kind == "small":
+        rhs = [data.draw(st.integers(-1, 1)) for _ in rows]
+    else:
+        x = [data.draw(st.sampled_from([0, 0, 0, 1])) for _ in col_picks]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    result = solve_equality_feasibility(rows, rhs)
+    check_result(rows, rhs, result)
+    if rhs_kind != "small":
+        assert isinstance(result, FeasiblePoint)
+
+
+def test_pivot_updates_every_row_once(monkeypatch):
+    # One pivot eliminates in the m - 1 other rows of [B^-1 | beta] and in the
+    # objective row: m fraction-free row updates of width m + 1 each.
+    widths = []
+    original = _kernels.bareiss_row
+
+    def counted(row, pivot_row, coeff, pivot, divisor):
+        widths.append(len(pivot_row))
+        return original(row, pivot_row, coeff, pivot, divisor)
+
+    monkeypatch.setattr(_kernels, "bareiss_row", counted)
+    rng = seeded(5)
+    for _ in range(30):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 12)
+        rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.randrange(-4, 5) for _ in range(m)]
+        widths.clear()
+        check_result(rows, rhs, solve_equality_feasibility(rows, rhs))
+        assert len(widths) % m == 0
+        assert all(w == m + 1 for w in widths)
+
+
+def _agree_with_facets(layout, type_set, rng, count):
+    hrep = enumerate_facets(type_set)
+    verdicts = set()
+    for k in range(count):
+        if k % 2:
+            pi, _ = random_mixture_pi(layout, type_set, rng)
+        else:
+            pi = random_rational_pi(layout, rng)
+        by_lp = membership.test_membership(pi, type_set)
+        inside = isinstance(by_lp, MixingDistribution)
+        assert inside == facet_membership_oracle(pi, hrep)
+        verdicts.add(inside)
+    assert verdicts == {True, False}
+
+
+def test_membership_matches_facets_on_four_alternative_pairwise_data():
+    _, _, layout = make_instance(
+        "abcd", [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
+    )
+    _agree_with_facets(layout, types_from_linear_orders(layout), seeded(21), 60)
+
+
+def test_membership_matches_facets_on_three_alternative_weak_order_data():
+    universe, problems, _ = make_instance("abc", [("a", "b"), ("b", "c"), ("a", "b", "c")])
+    lifted = lift_layout(universe, problems)
+    type_set = correspondence_types_from_weak_orders(universe, problems, lifted)
+    _agree_with_facets(lifted.layout, type_set, seeded(22), 60)

@@ -1,4 +1,6 @@
+import copy
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,9 @@ from ruhull import (
     run_verify,
 )
 from ruhull.fileio import lifted_instance_tree
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "instances"
+CYCLIC_TEXT = (SAMPLES / "cyclic_majority.json").read_text()
 
 
 def make_text(**overrides):
@@ -229,6 +234,168 @@ class TestRunCheckAndVerify:
         tampered["restricted_arsp"] = {"holds": False}
         ok, _ = run_verify(instance, tampered)
         assert not ok
+
+
+def _good_reports():
+    """(instance, structured report) for every sample, plus restricted runs."""
+    out = []
+    for path in sorted(SAMPLES.glob("*.json")):
+        instance = parse_instance(path.read_text())
+        out.append((instance, run_check(instance).to_structured()))
+        if instance.set_valued:
+            out.append((instance, run_check(instance, restricted=True).to_structured()))
+    return out
+
+
+GOOD_REPORTS = _good_reports()
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.sampled_from([1.0, 1.5, -0.5, 0.0, 10**20])
+    | st.sampled_from(["", "0", "1", "-1", "1/2", "1/0", "x", "1.5", "true"])
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["weight", "type", "holds", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(data, tree):
+    """Replace, delete or append at one random position below the root."""
+    parent, key, node = None, None, tree
+    while isinstance(node, (dict, list)) and node and (
+        parent is None or data.draw(st.integers(0, 3))
+    ):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(list(keys)))
+        node = node[key]
+    action = data.draw(st.sampled_from(["replace", "delete", "append"]))
+    if action == "append" and isinstance(node, list):
+        node.append(data.draw(JSON_VALUES))
+    elif action == "delete":
+        del parent[key]
+    else:
+        parent[key] = data.draw(JSON_VALUES)
+
+
+class TestVerifyMalformedReports:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_reports_never_raise(self, data):
+        instance, good = data.draw(st.sampled_from(GOOD_REPORTS))
+        report = copy.deepcopy(good)
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(data, report)
+        ok, failures = run_verify(instance, report)
+        assert isinstance(ok, bool)
+        if ok:
+            assert failures == []
+        else:
+            assert failures and all(isinstance(f, str) for f in failures)
+        json.dumps(failures)
+
+    def test_good_reports_verify(self):
+        for instance, report in GOOD_REPORTS:
+            assert run_verify(instance, report) == (True, [])
+
+    @pytest.mark.parametrize(
+        "where,value",
+        [
+            (("mixture", "weights"), 5),
+            (("mixture", "weights", 0, "type"), 5),
+            (("mixture", "weights", 0), 5),
+            (("mixture",), []),
+            (("restricted_arsp",), True),
+            (("restricted_arsp",), {"holds": "yes"}),
+            (("lifted",), "no"),
+        ],
+    )
+    def test_non_iterable_mixture_fields(self, where, value):
+        instance = parse_instance(make_text())
+        report = run_check(instance).to_structured()
+        report["restricted_arsp"] = {"holds": True}
+        _set(report, where, value)
+        ok, failures = run_verify(instance, report)
+        assert not ok and failures
+
+    @pytest.mark.parametrize(
+        "where,value",
+        [
+            (("certificate", "trials"), 5),
+            (("certificate", "trials", 0), 5),
+            (("certificate", "trials", 0, "coordinates"), 5),
+            (("certificate", "positivized"), 5),
+            (("certificate", "positivized", 0), -4),
+        ],
+    )
+    def test_non_iterable_certificate_fields(self, where, value):
+        instance = parse_instance(CYCLIC_TEXT)
+        report = run_check(instance).to_structured()
+        _set(report, where, value)
+        ok, failures = run_verify(instance, report)
+        assert not ok and failures
+
+    @pytest.mark.parametrize("value", [1.0, 1.5, True])
+    @pytest.mark.parametrize(
+        "where",
+        [
+            ("certificate", "separating", 0),
+            ("certificate", "integer_aggregate", 0),
+            ("certificate", "trials", 0, "problem"),
+            ("certificate", "trials", 0, "coordinates", 0),
+        ],
+    )
+    def test_non_integer_entries_rejected(self, where, value):
+        instance = parse_instance(CYCLIC_TEXT)
+        report = run_check(instance, mode="canonical").to_structured()
+        # Only entries equal to 1 are tested, so truncating or coercing 1.0,
+        # 1.5 or True would leave the report valid.
+        cert = report["certificate"]
+        cert["trials"] = sorted(cert["trials"], key=lambda t: t["problem"])
+        assert _get(report, where) == 1
+        assert run_verify(instance, report) == (True, [])
+        _set(report, where, value)
+        ok, failures = run_verify(instance, report)
+        assert not ok and failures
+
+    def test_uncappable_lifted_claim_is_a_failure(self):
+        labels = [f"x{k}" for k in range(17)]
+        instance = parse_instance(json.dumps({
+            "universe": labels,
+            "problems": [labels[:2]],
+            "probabilities": [["1/2", "1/2"]],
+            "types": [[1, 0], [0, 1]],
+            "set_valued": False,
+        }))
+        report = run_check(instance).to_structured()
+        report["lifted"] = True
+        ok, failures = run_verify(instance, report)
+        assert not ok
+        assert any("cap" in f for f in failures)
+
+    def test_repeated_trial_coordinate_rejected(self):
+        instance = parse_instance(CYCLIC_TEXT)
+        report = run_check(instance).to_structured()
+        trial = report["certificate"]["trials"][0]
+        trial["coordinates"] = trial["coordinates"] * 2
+        trial.pop("members", None)
+        ok, failures = run_verify(instance, report)
+        assert not ok
+        assert any("repeated" in f for f in failures)
+
+
+def _get(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+def _set(tree, path, value):
+    _get(tree, path[:-1])[path[-1]] = value
 
 
 class TestLiftedInstanceTree:

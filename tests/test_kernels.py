@@ -45,8 +45,6 @@ def test_support_kernels_agreement():
             for _ in range(rng.randrange(1, 12))
         ]
         assert _speedups.best_support(t, supports) == _pure.best_support(t, supports)
-        for s in supports:
-            assert _speedups.dot_support(t, s) == _pure.dot_support(t, s)
 
 
 @needs_compiled
