@@ -1,9 +1,19 @@
-"""Pure-Python reference implementation of the numeric kernels.
+"""The inner loops of the exact LP, the type maximization and the facets code.
 
-Semantics here are authoritative; the Cython module must match bit for bit.
-Zero entries are skipped so that exact Fraction arithmetic only pays for
-nonzero work (tableaus and 0/1 vectors are sparse in practice).
+* ``dot``: inner products (``model.inner``, facet offsets and incidences);
+* ``best_support``: the best type for a functional (``model.max_over_types``);
+* ``sub_scaled``: one row-reduction step of the facets RREF;
+* ``bareiss_row``: one row update of a fraction-free simplex pivot;
+* ``combine``: a new ray of the double description method.
+
+All five are exact: they operate on Python ints and ``Fraction`` values and
+never convert to floating point. Zero entries are skipped so that exact
+arithmetic only pays for nonzero work (pivot blocks and 0/1 vectors are
+sparse in practice). Callers look the kernels up on this module at call time
+(``_kernels.dot(...)``), so a profiler can wrap them in one place.
 """
+
+BACKEND = "pure"
 
 
 def dot(a, b):

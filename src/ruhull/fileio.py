@@ -11,7 +11,8 @@ Instances are JSON trees with explicit keys::
     }
 
 Probabilities are rational strings ("1/2" and "0.5" both parse to the exact
-rational 1/2); JSON floats are rejected because they are not exact. For
+rational 1/2); JSON floats are rejected because they are not exact, and
+exponent notation ("1e3") because its size is exponential in its length. For
 set-valued instances each problem's probabilities form a map from subsets
 (labels joined by commas, "" for the empty set) to rational strings, and
 ``types`` may also be "weak-orders". Explicit ``types`` rows are 0/1 vectors
@@ -67,7 +68,11 @@ REPORT_FORMAT = "ruhull-report-v1"
 
 
 def parse_rational(value: Any, location: str) -> Fraction:
-    """Parse "3/10", "0.3" or an int to an exact rational; floats are rejected."""
+    """Parse "3/10", "0.3" or an int to an exact rational.
+
+    Floats are rejected because they are not exact, and exponent notation
+    ("1e9") because its size is exponential in its length.
+    """
     if isinstance(value, bool):
         raise InstanceParseError("expected a rational, got a boolean", location)
     if isinstance(value, int):
@@ -78,6 +83,12 @@ def parse_rational(value: Any, location: str) -> Fraction:
             location,
         )
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise InstanceParseError(
+                f"malformed rational {value!r}: exponent notation is not "
+                "accepted; write \"p/q\" or a plain decimal",
+                location,
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -240,3 +240,10 @@ def test_membership_matches_facets_on_three_alternative_weak_order_data():
     lifted = lift_layout(universe, problems)
     type_set = correspondence_types_from_weak_orders(universe, problems, lifted)
     _agree_with_facets(lifted.layout, type_set, seeded(22), 60)
+
+
+def test_bareiss_row_rejects_inexact_division():
+    # Entries of a fraction-free pivot are minors, so the division is exact;
+    # a remainder means the block was corrupted and must not be rounded away.
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        _kernels.bareiss_row([1, 1], [1, 0], 1, 1, 3)

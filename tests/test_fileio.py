@@ -50,6 +50,12 @@ class TestParseRational:
         with pytest.raises(InstanceParseError, match="not exact"):
             parse_rational(0.3, "x")
 
+    @pytest.mark.parametrize("text", ["1e3", "1E-2", "0.5e0", "1e999999999"])
+    def test_exponent_notation_rejected(self, text):
+        # The size of "1eN" is exponential in its length: rejected unparsed.
+        with pytest.raises(InstanceParseError, match="exponent notation"):
+            parse_rational(text, "x")
+
     @settings(max_examples=100, deadline=None)
     @given(st.fractions(max_denominator=10**9))
     def test_serialize_parse_round_trip_is_identity(self, q):
@@ -75,6 +81,12 @@ class TestParseInstance:
     def test_bad_json_position(self):
         with pytest.raises(InstanceParseError, match=":1:"):
             parse_instance("{oops", source="broken.json")
+
+    def test_exponent_probability_rejected(self):
+        # 1e-1 + 9e-1 would be a valid distribution if exponents were parsed.
+        text = make_text(probabilities=[["1e-1", "9e-1"]])
+        with pytest.raises(InstanceParseError, match=r"probabilities\[0\]\[0\]"):
+            parse_instance(text)
 
     def test_missing_key(self):
         with pytest.raises(InstanceParseError, match="types"):
@@ -376,6 +388,22 @@ class TestVerifyMalformedReports:
         ok, failures = run_verify(instance, report)
         assert not ok
         assert any("cap" in f for f in failures)
+
+    def test_exponent_weight_is_a_failure(self):
+        instance = parse_instance(make_text())
+        report = run_check(instance).to_structured()
+        report["mixture"]["weights"][0]["weight"] = "1e5000"
+        ok, failures = run_verify(instance, report)
+        assert not ok
+        assert "mixture entry 0: malformed weight" in failures
+
+    def test_exponent_gap_is_a_failure(self):
+        instance = parse_instance(CYCLIC_TEXT)
+        report = run_check(instance).to_structured()
+        report["certificate"]["gap"] = "1e5000"
+        ok, failures = run_verify(instance, report)
+        assert not ok
+        assert any("exponent notation" in f for f in failures)
 
     def test_repeated_trial_coordinate_rejected(self):
         instance = parse_instance(CYCLIC_TEXT)
