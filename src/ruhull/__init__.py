@@ -62,7 +62,6 @@ from .fileio import (
 from .membership import (
     MixingDistribution,
     SeparatingVector,
-    reduce_support,
     test_membership,
 )
 from .model import (

@@ -18,7 +18,6 @@ collect, and verifies that claim before returning. Three steps:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
@@ -35,6 +34,7 @@ from .model import (
     inner,
     make_trial_sequence,
     max_over_types,
+    primitive_integers,
     to_rational,
 )
 
@@ -62,12 +62,7 @@ def integerize(t: Sequence[Rational]) -> tuple[int, ...]:
     for i, v in enumerate(vals):
         if v < 0:
             raise ValidationError(f"entry {i} is negative; positivize first")
-    if not any(vals):
-        return tuple(0 for _ in vals)
-    denom = math.lcm(*(v.denominator for v in vals))
-    ints = [int(v * denom) for v in vals]
-    g = math.gcd(*ints)
-    return tuple(v // g for v in ints)
+    return primitive_integers(vals)
 
 
 def decompose_to_trials(
@@ -99,16 +94,12 @@ def decompose_to_trials(
     if mode == "canonical":
         for i, count in enumerate(agg):
             if count:
-                bits = tuple(1 if k == i else 0 for k in range(n))
-                trial = Trial(bits, layout.block_of(i))
-                trials.extend([trial] * count)
+                trials.extend([Trial(layout.block_of(i), (i,))] * count)
     else:
         for j in range(layout.problem_count):
-            block = list(layout.block_range(j))
-            remaining = {i: agg[i] for i in block if agg[i]}
+            remaining = {i: agg[i] for i in layout.block_range(j) if agg[i]}
             while remaining:
-                bits = tuple(1 if k in remaining else 0 for k in range(n))
-                trials.append(Trial(bits, j))
+                trials.append(Trial(j, tuple(remaining)))
                 remaining = {i: c - 1 for i, c in remaining.items() if c > 1}
     return make_trial_sequence(trials, layout)
 

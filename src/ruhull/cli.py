@@ -127,6 +127,8 @@ def _cmd_verify(args) -> int:
         raise InstanceParseError(
             f"invalid JSON: {exc.msg}", f"{args.report}:{exc.lineno}:{exc.colno}"
         )
+    except ValueError as exc:  # e.g. an integer literal over the digit limit
+        raise InstanceParseError(f"invalid JSON: {exc}", args.report)
     ok, problems = run_verify(instance, report)
     if args.format == "structured":
         tree = {

@@ -20,7 +20,6 @@ coordinates and vertex counts refuse anything beyond desk scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -34,6 +33,7 @@ from .model import (
     StochasticChoiceVector,
     TrialSequence,
     inner,
+    primitive_integers,
 )
 
 MAX_FACET_COORDINATES = 24
@@ -64,17 +64,6 @@ class HRepresentation:
     dimension: int
     equations: tuple[AffineEquation, ...]
     facets: tuple[FacetInequality, ...]
-
-
-def _primitive(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """Positive rescaling to integer entries with gcd 1 (zero vector allowed)."""
-    fracs = [Fraction(v) for v in vec]
-    if not any(fracs):
-        return tuple(0 for _ in fracs)
-    denom = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom) for f in fracs]
-    g = math.gcd(*ints)
-    return tuple(v // g for v in ints)
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -139,7 +128,7 @@ def _equations(
         coeff[f] = Fraction(1)
         for k, p in enumerate(pivots):
             coeff[p] = -basis[k][f]
-        ints = list(_primitive(coeff))
+        ints = list(primitive_integers(coeff))
         first = next(v for v in ints if v)
         if first < 0:
             ints = [-v for v in ints]
@@ -178,7 +167,7 @@ def _double_description(
 
     g_matrix = [[Fraction(v) for v in generators[i]] for i in chosen]
     inverse = _invert(g_matrix)
-    rays = [_primitive([inverse[r][c] for r in range(dim)]) for c in range(dim)]
+    rays = [primitive_integers([inverse[r][c] for r in range(dim)]) for c in range(dim)]
 
     # Exact zero sets (bitmask over processed inequalities) drive the
     # combinatorial adjacency test; they are always computed by evaluation
@@ -221,7 +210,7 @@ def _double_description(
                         break
                 if adjacent:
                     new_rays.append(
-                        _primitive(
+                        primitive_integers(
                             _kernels.combine(values[kp], rays[km], -values[km], rays[kp])
                         )
                     )
@@ -272,7 +261,7 @@ def enumerate_facets(
         normal = [0] * n
         for k, p in enumerate(pivots):
             normal[p] = -ray[k]
-        normal = list(_primitive(normal))
+        normal = list(primitive_integers(normal))
         offset = max(_kernels.dot(normal, v) for v in vertices)
         facets.append(FacetInequality(tuple(normal), int(offset)))
     facets.sort(key=lambda f: (f.normal, f.offset))

@@ -31,7 +31,7 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .certificate import CheckOutcome, decide, integerize, positivize
 from .enumeration import (
@@ -57,7 +57,6 @@ from .model import (
     Trial,
     build_layout,
     inner,
-    make_trial_sequence,
     make_type_set,
     max_over_types,
     problem_from_labels,
@@ -159,6 +158,8 @@ def parse_instance(text: str, source: str = "instance") -> Instance:
         raise InstanceParseError(
             f"invalid JSON: {exc.msg}", f"{source}:{exc.lineno}:{exc.colno}"
         )
+    except ValueError as exc:  # e.g. an integer literal over the digit limit
+        raise InstanceParseError(f"invalid JSON: {exc}", source)
     return parse_instance_dict(obj, source)
 
 
@@ -481,12 +482,11 @@ def _describe_type(t, layout: IndexLayout) -> str:
 def _trials_tree(trials: Sequence[Trial], layout: IndexLayout) -> list[dict]:
     out = []
     for t in trials:
-        support = [i for i, b in enumerate(t.bits) if b]
         out.append(
             {
                 "problem": t.block + 1,
-                "members": [layout.coordinate_info(i)[1] for i in support],
-                "coordinates": [i + 1 for i in support],
+                "members": [layout.coordinate_info(i)[1] for i in t.coordinates],
+                "coordinates": [i + 1 for i in t.coordinates],
             }
         )
     return out
@@ -495,7 +495,7 @@ def _trials_tree(trials: Sequence[Trial], layout: IndexLayout) -> list[dict]:
 def _describe_trials(trials: Sequence[Trial], layout: IndexLayout) -> list[str]:
     lines = []
     for t in trials:
-        labels = [layout.coordinate_info(i)[1] for i, b in enumerate(t.bits) if b]
+        labels = [layout.coordinate_info(i)[1] for i in t.coordinates]
         lines.append(f"problem {t.block + 1} query {{{','.join(labels)}}}")
     return lines
 
@@ -542,7 +542,7 @@ def run_verify(instance: Instance, report: Any) -> tuple[bool, list[str]]:
     if not isinstance(report, dict):
         return False, ["report is not a JSON object"]
     if report.get("format") != REPORT_FORMAT:
-        return False, [f"unknown report format {report.get('format')!r}"]
+        return False, [f"unknown report format {_show(report.get('format'), repr)}"]
     if report.get("instance_digest") != instance.digest:
         return False, ["digest mismatch: report was produced from a different instance"]
 
@@ -565,7 +565,7 @@ def run_verify(instance: Instance, report: Any) -> tuple[bool, list[str]]:
     elif verdict == "not-rationalizable":
         failures = _verify_certificate(report.get("certificate"), pi, type_set)
     else:
-        return False, [f"unknown verdict {verdict!r}"]
+        return False, [f"unknown verdict {_show(verdict, repr)}"]
 
     if "restricted_arsp" in report:
         claim = report["restricted_arsp"]
@@ -580,6 +580,25 @@ def run_verify(instance: Instance, report: Any) -> tuple[bool, list[str]]:
                     f"restricted axiom recomputes to {actual}, report claims {claim['holds']}"
                 )
     return not failures, failures
+
+
+def _show(value: Any, text: Callable[[Any], str] = str) -> str:
+    """``text(value)`` for a failure message; never raises.
+
+    Python refuses to print integers of more than 4300 decimal digits (see
+    ``sys.set_int_max_str_digits``), so such rationals are described by size.
+    """
+    try:
+        return text(value)
+    except ValueError:
+        if not isinstance(value, (int, Fraction)):
+            return f"<unprintable {type(value).__name__}>"
+        q = Fraction(value)
+        sign = "-" if q < 0 else ""
+        bits = abs(q.numerator).bit_length()
+        if q.denominator == 1:
+            return f"<{sign}{bits}-bit integer>"
+        return f"<{sign}{bits}-bit / {q.denominator.bit_length()}-bit fraction>"
 
 
 def _ints(value: Any) -> tuple[int, ...]:
@@ -618,13 +637,15 @@ def _verify_mixture(
             failures.append(f"mixture entry {k}: type is not in the admissible set")
             continue
         if weight <= 0:
-            failures.append(f"mixture entry {k}: weight {weight} is not positive")
+            failures.append(
+                f"mixture entry {k}: weight {_show(weight)} is not positive"
+            )
         total += weight
         for i, b in enumerate(bits):
             if b:
                 combined[i] += weight
     if total != 1:
-        failures.append(f"mixture weights sum to {total}, not 1")
+        failures.append(f"mixture weights sum to {_show(total)}, not 1")
     if tuple(combined) != tuple(pi.values):
         failures.append("mixture does not reconstruct the observed probabilities")
     return failures
@@ -658,7 +679,9 @@ def _verify_certificate(
     best, _ = max_over_types(separating, type_set)
     gap = inner(separating, pi.values) - best
     if gap != claimed_gap:
-        failures.append(f"separating gap is {gap}, report claims {claimed_gap}")
+        failures.append(
+            f"separating gap is {_show(gap)}, report claims {_show(claimed_gap)}"
+        )
     if gap <= 0:
         failures.append("separating vector does not separate")
     positivized = positivize(separating)
@@ -667,7 +690,6 @@ def _verify_certificate(
     if integerize(positivized) != aggregate:
         failures.append("integer aggregate does not match the pipeline")
 
-    trials = []
     rebuilt = [0] * n
     for k, item in enumerate(trial_items):
         try:
@@ -686,28 +708,26 @@ def _verify_certificate(
             failures.append(f"trial {k}: a coordinate is repeated")
             continue
         if {layout.block_of(c) for c in coords} != {problem}:
-            failures.append(f"trial {k}: support is not inside problem {problem + 1}")
+            failures.append(
+                f"trial {k}: support is not inside problem {_show(problem + 1)}"
+            )
             continue
         if members and members != [layout.coordinate_info(c)[1] for c in coords]:
             failures.append(f"trial {k}: member labels disagree with coordinates")
             continue
-        bits = [0] * n
         for c in coords:
-            bits[c] = 1
             rebuilt[c] += 1
-        trials.append(Trial(tuple(bits), problem))
     if tuple(rebuilt) != aggregate:
         failures.append("trials do not aggregate to the integer aggregate")
-    if not trials:
+    if not any(rebuilt):
         failures.append("certificate contains no trials")
         return failures
-    sequence = make_trial_sequence(trials, layout)
-    check_lhs = inner(sequence.aggregate, pi.values)
-    check_rhs, _ = max_over_types(sequence.aggregate, type_set)
+    check_lhs = inner(rebuilt, pi.values)
+    check_rhs, _ = max_over_types(rebuilt, type_set)
     if check_lhs != lhs:
-        failures.append(f"lhs is {check_lhs}, report claims {lhs}")
+        failures.append(f"lhs is {_show(check_lhs)}, report claims {_show(lhs)}")
     if check_rhs != rhs:
-        failures.append(f"rhs is {check_rhs}, report claims {rhs}")
+        failures.append(f"rhs is {_show(check_rhs)}, report claims {_show(rhs)}")
     if not check_lhs > check_rhs:
         failures.append("trial sequence does not strictly violate the axiom")
     return failures

@@ -172,18 +172,18 @@ def restricted_trials(lifted: LiftedLayout) -> tuple[Trial, ...]:
     of block j that are subsets of S. These are the only aggregates the
     restricted axiom may use.
     """
-    n = lifted.layout.coordinate_count
     out = []
     for j in range(lifted.layout.problem_count):
         block_start = lifted.layout.block_offsets[j]
         subsets = lifted.block_subsets(j)
         for s in subsets:
             s_set = set(s)
-            bits = [0] * n
-            for pos, candidate in enumerate(subsets):
-                if set(candidate) <= s_set:
-                    bits[block_start + pos] = 1
-            out.append(Trial(tuple(bits), j))
+            coords = tuple(
+                block_start + pos
+                for pos, candidate in enumerate(subsets)
+                if s_set.issuperset(candidate)
+            )
+            out.append(Trial(j, coords))
     return tuple(out)
 
 
@@ -205,12 +205,13 @@ def check_restricted_arsp(
     if pi.layout != lifted.layout or type_set.layout != lifted.layout:
         raise LayoutMismatch("data, types and lifted layout must agree")
     trials = restricted_trials(lifted)
-    trial_pi = [inner(t.bits, pi.values) for t in trials]
-    n_trials = len(trials)
+    trial_pi = [inner(t, pi) for t in trials]
     n_types = len(type_set.types)
     rows = []
     for r, typ in enumerate(type_set.types):
-        margins = [trial_pi[s] - inner(trials[s].bits, typ.bits) for s in range(n_trials)]
+        margins = [
+            p - (typ.chosen[t.block] in t.coordinates) for p, t in zip(trial_pi, trials)
+        ]
         slack = [Fraction(-1) if k == r else Fraction(0) for k in range(n_types)]
         rows.append(margins + slack)
     rhs = [Fraction(1)] * n_types

@@ -11,13 +11,12 @@ infeasible case are exactly a separating functional.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
-from .errors import LayoutMismatch, ValidationError
+from .errors import LayoutMismatch
 from .exactlp import FeasiblePoint, solve_equality_feasibility
 from .model import (
     ChoiceTypeVector,
@@ -26,6 +25,7 @@ from .model import (
     StochasticChoiceVector,
     inner,
     max_over_types,
+    primitive_integers,
 )
 
 
@@ -71,16 +71,6 @@ class SeparatingVector:
 Verdict = Union[MixingDistribution, SeparatingVector]
 
 
-def _normalize_direction(values: tuple[Fraction, ...]) -> tuple[int, ...]:
-    """Scale a rational vector to integers with gcd 1 (direction preserved)."""
-    denom = math.lcm(*(v.denominator for v in values)) if values else 1
-    ints = [int(v * denom) for v in values]
-    g = math.gcd(*ints) if any(ints) else 1
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
-
-
 def test_membership(
     pi: StochasticChoiceVector, type_set: RationalTypeSet
 ) -> MixingDistribution | SeparatingVector:
@@ -117,30 +107,10 @@ def test_membership(
         )
         return MixingDistribution(pi.layout, weights)
 
-    direction = _normalize_direction(result.y[:n_coords])
+    direction = primitive_integers(result.y[:n_coords])
     best, _ = max_over_types(direction, type_set)
     gap = inner(direction, pi.values) - best
     if gap <= 0:
         raise AssertionError("infeasible system produced a non-separating direction")
     return SeparatingVector(direction, gap)
 
-
-def reduce_support(dist: MixingDistribution) -> MixingDistribution:
-    """Rebuild the distribution on a basic solution of the equality system.
-
-    The result reproduces the same mixture with support of at most
-    coordinates - problems + 1 types, and is a fixed point of this operation:
-    a support whose type columns are linearly independent determines its
-    weights uniquely.
-    """
-    support = [t for t, _ in dist.weights]
-    target = dist.mixture
-    n_coords = dist.layout.coordinate_count
-    rows = [[t.bits[i] for t in support] for i in range(n_coords)]
-    rows.append([1] * len(support))
-    rhs = list(target) + [Fraction(1)]
-    result = solve_equality_feasibility(rows, rhs)
-    if not isinstance(result, FeasiblePoint):
-        raise ValidationError("distribution does not reproduce its own mixture")
-    weights = tuple((support[k], w) for k, w in enumerate(result.x) if w != 0)
-    return MixingDistribution(dist.layout, weights)

@@ -8,7 +8,8 @@ Everything downstream works on vectors over these coordinates:
 
 * stochastic choice data: one exact probability distribution per block,
 * choice types: 0/1 vectors selecting exactly one member per block,
-* trials: 0/1 query vectors supported inside a single block.
+* trials: queries inside a single problem, kept as the problem's index and
+  the coordinates of its block that they ask about.
 
 Probabilities are ``fractions.Fraction`` end to end; nothing in this package
 ever rounds through floating point. All types are immutable after
@@ -18,6 +19,7 @@ no locking.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -281,44 +283,40 @@ def make_type_set(
 
 @dataclass(frozen=True)
 class Trial:
-    """A 0/1 query vector whose support lies inside one problem block."""
+    """A query inside one choice problem.
 
-    bits: tuple[int, ...]
-    block: int = field(compare=False)
+    ``block`` is the problem's index and ``coordinates`` are the sorted
+    coordinates of that problem's block that the query asks about.
+    """
 
-    def __len__(self) -> int:
-        return len(self.bits)
+    block: int
+    coordinates: tuple[int, ...]
 
 
-def make_trial(bits: Sequence[int], layout: IndexLayout) -> Trial:
-    n = layout.coordinate_count
-    if len(bits) != n:
-        raise ValidationError(f"trial has length {len(bits)}, expected {n}")
-    support = [i for i, b in enumerate(bits) if b]
-    if not support:
+def make_trial(coordinates: Iterable[int], layout: IndexLayout) -> Trial:
+    coords = tuple(sorted(coordinates))
+    if not coords:
         raise ValidationError("trial must query at least one alternative")
-    for i in support:
-        if bits[i] != 1:
-            raise ValidationError(f"trial entry at coordinate {i} is not 0/1")
-    block = layout.block_of(support[0])
-    if layout.block_of(support[-1]) != block:
+    if len(set(coords)) != len(coords):
+        raise ValidationError("trial queries a coordinate twice")
+    block = layout.block_of(coords[0])
+    if layout.block_of(coords[-1]) != block:
         raise ValidationError("trial support spans more than one problem block")
-    return Trial(tuple(int(b) for b in bits), block)
+    return Trial(block, coords)
 
 
 def trial_for_members(
     layout: IndexLayout, problem_index: int, universe_indices: Iterable[int]
 ) -> Trial:
     """Trial querying the given alternatives of one problem."""
-    bits = [0] * layout.coordinate_count
-    for u in universe_indices:
-        bits[layout.coordinate(problem_index, u)] = 1
-    return make_trial(bits, layout)
+    return make_trial(
+        (layout.coordinate(problem_index, u) for u in universe_indices), layout
+    )
 
 
 @dataclass(frozen=True)
 class TrialSequence:
-    """A finite multiset of trials together with its componentwise sum.
+    """A finite multiset of trials together with its dense componentwise sum.
 
     Only the aggregate matters to every check in this package; the trials are
     kept so certificates can be replayed literally.
@@ -333,14 +331,28 @@ class TrialSequence:
 
 def make_trial_sequence(trials: Iterable[Trial], layout: IndexLayout) -> TrialSequence:
     trials = tuple(trials)
-    agg = [0] * layout.coordinate_count
+    n = layout.coordinate_count
+    agg = [0] * n
     for t in trials:
-        if len(t.bits) != layout.coordinate_count:
-            raise LayoutMismatch("trial length does not match layout")
-        for i, b in enumerate(t.bits):
-            if b:
-                agg[i] += b
+        if not 0 <= t.coordinates[0] <= t.coordinates[-1] < n:
+            raise LayoutMismatch("trial coordinates lie outside the layout")
+        for i in t.coordinates:
+            agg[i] += 1
     return TrialSequence(trials, tuple(agg))
+
+
+def primitive_integers(values: Sequence[Rational]) -> tuple[int, ...]:
+    """Scale a rational vector by a positive factor to coprime integers.
+
+    The result has gcd 1; the zero vector (and the empty one) maps to itself.
+    """
+    fracs = [Fraction(v) for v in values]
+    if not any(fracs):
+        return tuple(0 for _ in fracs)
+    denom = math.lcm(*(f.denominator for f in fracs))
+    ints = [int(f * denom) for f in fracs]
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints)
 
 
 def _as_vector(x) -> Sequence[Rational]:
@@ -348,17 +360,21 @@ def _as_vector(x) -> Sequence[Rational]:
         return x.values
     if isinstance(x, ChoiceTypeVector):
         return x.bits
-    if isinstance(x, Trial):
-        return x.bits
     if isinstance(x, TrialSequence):
         return x.aggregate
     return x
 
 
 def inner(t, v) -> Rational:
-    """Exact inner product; accepts raw sequences or the vector types above."""
-    a = _as_vector(t)
+    """Exact inner product; accepts raw sequences or the vector types above.
+
+    A trial counts as the 0/1 indicator of its coordinates, so its inner
+    product is the sum of the other vector over those coordinates.
+    """
     b = _as_vector(v)
+    if isinstance(t, Trial):
+        return sum(b[i] for i in t.coordinates)
+    a = _as_vector(t)
     if len(a) != len(b):
         raise LayoutMismatch(f"vector lengths differ: {len(a)} vs {len(b)}")
     return _kernels.dot(a, b)

@@ -94,7 +94,7 @@ class TestDecompose:
         _, _, layout, _ = pairwise3
         seq = decompose_to_trials([0, 0, 0, 0, 1, 0], layout)
         assert len(seq) == 1
-        assert seq.trials[0].bits == (0, 0, 0, 0, 1, 0)
+        assert seq.trials[0].coordinates == (4,)
         assert seq.trials[0].block == 2
 
     def test_canonical_multiplicities(self):
@@ -102,13 +102,13 @@ class TestDecompose:
         seq = decompose_to_trials([2, 1], layout, "canonical")
         assert len(seq) == 3
         assert seq.aggregate == (2, 1)
-        assert [t.bits for t in seq.trials] == [(1, 0), (1, 0), (0, 1)]
+        assert [t.coordinates for t in seq.trials] == [(0,), (0,), (1,)]
 
     def test_compressed_layers(self):
         _, _, layout = make_instance("ab", [("a", "b")])
         seq = decompose_to_trials([2, 1], layout, "compressed")
         assert len(seq) == 2
-        assert [t.bits for t in seq.trials] == [(1, 1), (1, 0)]
+        assert [t.coordinates for t in seq.trials] == [(0, 1), (0,)]
         assert seq.aggregate == (2, 1)
 
     def test_zero_aggregate_rejected(self, pairwise3):
@@ -133,7 +133,7 @@ class TestDecompose:
             seq = decompose_to_trials(agg, layout, mode)
             assert seq.aggregate == tuple(agg)
             for t in seq.trials:
-                support_blocks = {layout.block_of(i) for i, b in enumerate(t.bits) if b}
+                support_blocks = {layout.block_of(i) for i in t.coordinates}
                 assert support_blocks == {t.block}
 
 

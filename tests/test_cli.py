@@ -1,8 +1,11 @@
 import json
+import pathlib
 
 import pytest
 
 from ruhull.cli import main
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
 
 @pytest.fixture()
@@ -172,6 +175,25 @@ class TestOtherCommands:
         report_path.write_text(json.dumps(tree))
         assert main(["verify", path, str(report_path)]) == 2
         assert "verified: false" in capsys.readouterr().out
+
+
+class TestHugeJsonIntegers:
+    # json refuses integer literals over 4300 digits with a plain ValueError.
+    HUGE = "1" * 5000
+
+    def test_check_instance_exits_two(self, tmp_path, capsys):
+        text = (SAMPLES / "two_point_mixture.json").read_text()
+        path = tmp_path / "instance.json"
+        path.write_text(text.replace("{", '{"junk": ' + self.HUGE + ",", 1))
+        assert main(["check", str(path)]) == 2
+        assert "error[InstanceParseError]" in capsys.readouterr().err
+
+    def test_verify_report_exits_two(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text('{"x": ' + self.HUGE + "}")
+        instance = str(SAMPLES / "two_point_mixture.json")
+        assert main(["verify", instance, str(report)]) == 2
+        assert "error[InstanceParseError]" in capsys.readouterr().err
 
 
 class TestDeterminism:

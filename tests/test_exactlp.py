@@ -38,7 +38,7 @@ def check_result(rows, rhs, result):
         for i in range(m):
             assert sum(rows[i][j] * result.x[j] for j in range(n)) == rhs[i]
         # A basic solution: its support columns are linearly independent
-        # (reduce_support relies on this).
+        # (this bounds the support of a membership mixture).
         support = [j for j in range(n) if result.x[j]]
         independent, _ = _rref([[row[j] for row in rows] for j in support])
         assert len(independent) == len(support)

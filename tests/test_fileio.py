@@ -405,6 +405,26 @@ class TestVerifyMalformedReports:
         assert not ok
         assert any("exponent notation" in f for f in failures)
 
+    def test_huge_mixture_total_is_a_failure(self):
+        # The weights parse, but their sum has over 6000 digits: too many
+        # for str(), so the message must describe it another way.
+        instance = parse_instance((SAMPLES / "two_point_mixture.json").read_text())
+        report = run_check(instance).to_structured()
+        weights = report["mixture"]["weights"]
+        weights[0]["weight"] = f"1/{10**3000 + 1}"
+        weights[1]["weight"] = f"1/{10**3000 + 3}"
+        ok, failures = run_verify(instance, report)
+        assert not ok
+        assert any(f.startswith("mixture weights sum to <") for f in failures)
+
+    def test_huge_separating_entry_is_a_failure(self):
+        instance = parse_instance(CYCLIC_TEXT)
+        report = run_check(instance).to_structured()
+        report["certificate"]["separating"][0] = -(10**5000)
+        ok, failures = run_verify(instance, report)
+        assert not ok
+        assert any(f.startswith("separating gap is <") for f in failures)
+
     def test_repeated_trial_coordinate_rejected(self):
         instance = parse_instance(CYCLIC_TEXT)
         report = run_check(instance).to_structured()

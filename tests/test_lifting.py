@@ -110,11 +110,11 @@ class TestRestrictedTrials:
         _, _, lifted = pair_lift
         trials = restricted_trials(lifted)
         # Block order is {}, {a}, {b}, {a,b}; one query per subset.
-        assert [t.bits for t in trials] == [
-            (1, 0, 0, 0),  # query {}: only the empty set is a subset
-            (1, 1, 0, 0),  # query {a} and its subsets
-            (1, 0, 1, 0),  # query {b} and its subsets
-            (1, 1, 1, 1),  # query the whole problem and all its subsets
+        assert [t.coordinates for t in trials] == [
+            (0,),  # query {}: only the empty set is a subset
+            (0, 1),  # query {a} and its subsets
+            (0, 2),  # query {b} and its subsets
+            (0, 1, 2, 3),  # query the whole problem and all its subsets
         ]
 
     def test_counts(self):

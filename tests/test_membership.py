@@ -12,7 +12,6 @@ from ruhull import (
     make_type_set,
     max_over_types,
     membership,
-    reduce_support,
     types_from_explicit,
     types_from_linear_orders,
     validate_pi,
@@ -78,33 +77,6 @@ class TestPairwiseThree:
         result = membership.test_membership(uniform_pi, ts)
         bound = layout.coordinate_count - layout.problem_count + 1
         assert result.support_size <= bound
-
-
-class TestReduceSupport:
-    def test_uniform_six_reduces_to_at_most_four(self, pairwise3, uniform_pi):
-        _, _, layout, ts = pairwise3
-        dist = MixingDistribution(
-            layout, tuple((t, Fraction(1, 6)) for t in ts.types)
-        )
-        assert dist.mixture == tuple(uniform_pi.values)
-        reduced = reduce_support(dist)
-        assert reduced.support_size <= 4  # 6 coordinates - 3 problems + 1
-        assert reduced.mixture == dist.mixture
-
-    def test_idempotent(self, pairwise3, uniform_pi):
-        _, _, layout, ts = pairwise3
-        dist = MixingDistribution(
-            layout, tuple((t, Fraction(1, 6)) for t in ts.types)
-        )
-        once = reduce_support(dist)
-        twice = reduce_support(once)
-        assert once == twice
-
-    def test_single_type_unchanged(self):
-        _, _, layout = make_instance("ab", [("a", "b")])
-        ts = types_from_linear_orders(layout)
-        dist = MixingDistribution(layout, ((ts.types[0], Fraction(1)),))
-        assert reduce_support(dist) == dist
 
 
 class TestSingletonTypeSet:
