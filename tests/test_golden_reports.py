@@ -1,10 +1,11 @@
-"""`ruhull check` stdout is pinned byte for byte on every shipped instance.
+"""CLI stdout is pinned byte for byte on every shipped instance.
 
 Reports are promised to be byte-identical across runs and refactors; these
-goldens enforce it for both formats, both decomposition modes and with and
-without the restricted axiom. After a deliberate change to the report
-format, regenerate them with ``PYTHONPATH=src python tests/test_golden_reports.py``
-and review the diff.
+goldens enforce it for ``check`` in both formats, both decomposition modes and
+with and without the restricted axiom, and for ``enumerate-types`` and
+``facets`` in both formats and ``lift``, which print types as 0/1 rows. After
+a deliberate change to an output format, regenerate them with
+``PYTHONPATH=src python tests/test_golden_reports.py`` and review the diff.
 """
 
 import itertools
@@ -29,6 +30,18 @@ CASES = [
     )
 ]
 
+SUBCOMMAND_CASES = [
+    (path.name, command, fmt)
+    for path in sorted(SAMPLES.glob("*.json"))
+    for command, fmt in (
+        ("enumerate-types", "text"),
+        ("enumerate-types", "structured"),
+        ("facets", "text"),
+        ("facets", "structured"),
+        ("lift", None),
+    )
+]
+
 
 def _argv(name, fmt, mode, restricted):
     argv = ["check", str(SAMPLES / name), "--format", fmt, "--mode", mode]
@@ -40,6 +53,16 @@ def _golden_path(name, fmt, mode, restricted):
     return GOLDEN / f"{pathlib.Path(name).stem}.{fmt}.{mode}{suffix}.out"
 
 
+def _subcommand_argv(name, command, fmt):
+    argv = [command, str(SAMPLES / name)]
+    return argv + ["--format", fmt] if fmt else argv
+
+
+def _subcommand_golden_path(name, command, fmt):
+    suffix = f".{fmt}" if fmt else ""
+    return GOLDEN / f"{pathlib.Path(name).stem}.{command}{suffix}.out"
+
+
 @pytest.mark.parametrize("name,fmt,mode,restricted", CASES)
 def test_check_stdout_matches_golden(name, fmt, mode, restricted, capsys):
     code = main(_argv(name, fmt, mode, restricted))
@@ -48,17 +71,28 @@ def test_check_stdout_matches_golden(name, fmt, mode, restricted, capsys):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("name,command,fmt", SUBCOMMAND_CASES)
+def test_subcommand_stdout_matches_golden(name, command, fmt, capsys):
+    assert main(_subcommand_argv(name, command, fmt)) == 0
+    expected = _subcommand_golden_path(name, command, fmt).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
 def _regenerate():
     import contextlib
     import io
 
     GOLDEN.mkdir(exist_ok=True)
-    for case in CASES:
+    runs = [(_argv(*case), _golden_path(*case)) for case in CASES] + [
+        (_subcommand_argv(*case), _subcommand_golden_path(*case))
+        for case in SUBCOMMAND_CASES
+    ]
+    for argv, path in runs:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-            main(_argv(*case))
-        _golden_path(*case).write_text(buf.getvalue(), encoding="utf-8")
-    print(f"wrote {len(CASES)} goldens to {GOLDEN}", file=sys.stderr)
+            main(argv)
+        path.write_text(buf.getvalue(), encoding="utf-8")
+    print(f"wrote {len(runs)} goldens to {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":
