@@ -84,6 +84,7 @@ from .model import (
     max_over_types,
     problem_from_labels,
     trial_for_members,
+    type_bits,
     validate_pi,
 )
 

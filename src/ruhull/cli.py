@@ -13,15 +13,16 @@ import json
 import sys
 import time
 
-from .errors import CapExceeded, InstanceParseError, RuhullError
+from .errors import CapExceeded, RuhullError
 from .facets import MAX_FACET_COORDINATES, MAX_FACET_TYPES, enumerate_facets
 from .fileio import (
-    Instance,
     lifted_instance_tree,
     load_instance,
+    parse_json,
     run_check,
     run_verify,
 )
+from .model import type_bits
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -60,22 +61,21 @@ def _cmd_check(args) -> int:
 def _cmd_enumerate_types(args) -> int:
     instance = load_instance(args.instance)
     type_set = instance.type_set
+    layout = instance.layout
     if args.format == "structured":
         tree = {
             "format": "ruhull-types-v1",
             "instance_digest": instance.digest,
             "count": len(type_set),
-            "types": [list(t.bits) for t in type_set.types],
+            "types": [list(type_bits(t, layout)) for t in type_set.types],
         }
         sys.stdout.write(_dump(tree))
     else:
-        layout = instance.layout
         sys.stdout.write(f"{len(type_set)} admissible type(s)\n")
         for t in type_set.types:
-            picks = " | ".join(
-                layout.coordinate_info(c)[1] for c in t.chosen
-            )
-            sys.stdout.write(f"  {''.join(str(b) for b in t.bits)}  {picks}\n")
+            bits = "".join(map(str, type_bits(t, layout)))
+            picks = " | ".join(layout.coordinate_info(c)[1] for c in t.chosen)
+            sys.stdout.write(f"  {bits}  {picks}\n")
     return EXIT_OK
 
 
@@ -120,15 +120,8 @@ def _cmd_lift(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance = load_instance(args.instance)
-    try:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InstanceParseError(
-            f"invalid JSON: {exc.msg}", f"{args.report}:{exc.lineno}:{exc.colno}"
-        )
-    except ValueError as exc:  # e.g. an integer literal over the digit limit
-        raise InstanceParseError(f"invalid JSON: {exc}", args.report)
+    with open(args.report, "rb") as fh:
+        report = parse_json(fh.read(), args.report)
     ok, problems = run_verify(instance, report)
     if args.format == "structured":
         tree = {

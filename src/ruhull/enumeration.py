@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Sequence, TYPE_CHECKING
 from .errors import CapExceeded, ValidationError
 from .model import (
     ChoiceProblem,
+    ChoiceTypeVector,
     ChoiceUniverse,
     IndexLayout,
     RationalTypeSet,
@@ -92,7 +93,7 @@ def types_from_linear_orders(layout: IndexLayout) -> RationalTypeSet:
             for j, p in enumerate(layout.problems)
         )
         patterns.add(chosen)
-    return _from_chosen_patterns(patterns, layout)
+    return make_type_set(map(ChoiceTypeVector, patterns), layout)
 
 
 def types_from_explicit(
@@ -150,17 +151,5 @@ def _types_from_rankings(
                     break
             chosen.append(lifted.coordinate_for_subset(j, maximizers))
         patterns.add(tuple(chosen))
-    return _from_chosen_patterns(patterns, lifted.layout)
+    return make_type_set(map(ChoiceTypeVector, patterns), lifted.layout)
 
-
-def _from_chosen_patterns(
-    patterns: Iterable[tuple[int, ...]], layout: IndexLayout
-) -> RationalTypeSet:
-    n = layout.coordinate_count
-    rows = []
-    for chosen in sorted(patterns):
-        bits = [0] * n
-        for i in chosen:
-            bits[i] = 1
-        rows.append(bits)
-    return make_type_set(rows, layout)

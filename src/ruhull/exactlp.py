@@ -2,7 +2,8 @@
 
 Solves "find x >= 0 with A x = b" by a revised Phase-I simplex; when the
 system is infeasible the final duals give a Farkas certificate y with
-y A <= 0 componentwise and y b > 0.
+y A <= 0 componentwise and y b > 0. A is given by its nonzero entries, row
+by row, so no caller builds a dense matrix.
 
 Every row is first oriented so its right-hand side is nonnegative and scaled
 to integers; the structural columns are then stored sparsely, as their
@@ -50,8 +51,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
-from operator import attrgetter
+from itertools import count
 from typing import Sequence, Union
 
 from . import _kernels
@@ -75,12 +75,18 @@ class FarkasCertificate:
 
 
 def solve_equality_feasibility(
-    rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]
+    rows: Sequence[Sequence[tuple[int, Rational]]],
+    rhs: Sequence[Rational],
+    n_columns: int,
 ) -> FeasiblePoint | FarkasCertificate:
+    """Find x >= 0 with A x = b, or a Farkas certificate that none exists.
+
+    A has ``n_columns`` columns; ``rows[i]`` lists the nonzeros of its row i
+    as (column, value) pairs, each column at most once.
+    """
     m = len(rows)
     if m == 0:
         raise ValidationError("feasibility system needs at least one row")
-    n = len(rows[0])
     if len(rhs) != m:
         raise ValidationError("rhs length does not match row count")
 
@@ -88,34 +94,31 @@ def solve_equality_feasibility(
     # denominators. Positive row scalings change neither feasibility nor any
     # sign the pivot rules look at; the Farkas multipliers are mapped back
     # through them at the end.
+    #
+    # Structural columns are stored sparsely: a column is the list of its
+    # nonzeros, each named by its index into `entries`, the distinct
+    # (row, scaled value) pairs of the matrix. Pricing multiplies once per
+    # distinct pair rather than once per nonzero (a 0/1 matrix has about one
+    # pair per row).
     scales: list[int] = []
     block: list[list[int]] = []  # row i: [scaled B^-1 row i | scaled beta_i]
-    denominator = attrgetter("denominator")
+    entry_id: defaultdict[tuple[int, int], int] = defaultdict(count().__next__)
+    columns: list[list[int]] = [[] for _ in range(n_columns)]
     for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValidationError("ragged coefficient matrix")
         b = Fraction(rhs[i])
-        denom = math.lcm(b.denominator, *set(map(denominator, row)))
+        denom = math.lcm(b.denominator, *{v.denominator for _, v in row})
         scale = -denom if b < 0 else denom
         scales.append(scale)
         unit = [0] * (m + 1)
         unit[i] = 1
         unit[m] = (b * scale).numerator
         block.append(unit)
-
-    # Structural columns, stored sparsely: a column is the tuple of its
-    # nonzeros, each named by its index into `entries`, the distinct
-    # (row, scaled value) pairs of the matrix. Pricing multiplies once per
-    # distinct pair rather than once per nonzero (a 0/1 matrix has about one
-    # pair per row).
-    entry_id: defaultdict[tuple[int, Rational], int] = defaultdict(count().__next__)
-    columns = []
-    for col in zip(*rows):
-        nonzero = list(compress(range(m), col))
-        columns.append(
-            tuple(map(entry_id.__getitem__, zip(nonzero, map(col.__getitem__, nonzero))))
-        )
-    entries = [(i, (e * scales[i]).numerator) for i, e in entry_id]
+        for j, v in row:
+            if not 0 <= j < n_columns:
+                raise ValidationError(f"row {i} has an entry in column {j}, out of range")
+            if v:
+                columns[j].append(entry_id[(i, (v * scale).numerator)])
+    entries = list(entry_id)
 
     # Objective row of "minimize the sum of artificials" on the kept columns:
     # artificial reduced costs start at 0 and the rhs cell is the negated
@@ -157,7 +160,7 @@ def solve_equality_feasibility(
         basis[leaving] = entering
 
     if obj[m] == 0:  # objective value is -obj[m] / divisor
-        x = [Fraction(0)] * n
+        x = [Fraction(0)] * n_columns
         for i, j in enumerate(basis):
             if j >= 0:
                 x[j] = Fraction(block[i][m], divisor)

@@ -34,6 +34,7 @@ from .model import (
     TrialSequence,
     inner,
     primitive_integers,
+    type_bits,
 )
 
 MAX_FACET_COORDINATES = 24
@@ -240,7 +241,7 @@ def enumerate_facets(
             f"general; refusing {len(type_set)} vertices in {n} coordinates "
             f"(caps: {max_types} vertices, {max_coordinates} coordinates)"
         )
-    vertices = [t.bits for t in type_set.types]
+    vertices = [type_bits(t, layout) for t in type_set.types]
     base = vertices[0]
     basis, pivots, free = _affine_hull(vertices)
     equations = _equations(basis, pivots, free, base)

@@ -50,6 +50,7 @@ from .lifting import (
 )
 from .model import (
     ChoiceProblem,
+    ChoiceTypeVector,
     ChoiceUniverse,
     IndexLayout,
     RationalTypeSet,
@@ -58,8 +59,10 @@ from .model import (
     build_layout,
     inner,
     make_type_set,
+    make_type_vector,
     max_over_types,
     problem_from_labels,
+    type_bits,
     validate_pi,
 )
 
@@ -150,17 +153,23 @@ def _parse_labels(obj: Any, location: str) -> list[str]:
     return obj
 
 
-def parse_instance(text: str, source: str = "instance") -> Instance:
-    """Parse and validate an instance from JSON text; errors carry positions."""
+def parse_json(text: str | bytes, source: str) -> Any:
+    """The tree of a JSON document (bytes must be UTF-8), or InstanceParseError."""
     try:
-        obj = json.loads(text)
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except json.JSONDecodeError as exc:
         raise InstanceParseError(
             f"invalid JSON: {exc.msg}", f"{source}:{exc.lineno}:{exc.colno}"
         )
-    except ValueError as exc:  # e.g. an integer literal over the digit limit
+    except ValueError as exc:  # not UTF-8, or an integer over the digit limit
         raise InstanceParseError(f"invalid JSON: {exc}", source)
-    return parse_instance_dict(obj, source)
+    except RecursionError:
+        raise InstanceParseError("invalid JSON: nested too deeply", source)
+
+
+def parse_instance(text: str | bytes, source: str = "instance") -> Instance:
+    """Parse and validate an instance from JSON text or bytes; errors carry positions."""
+    return parse_instance_dict(parse_json(text, source), source)
 
 
 def parse_instance_dict(obj: Any, source: str = "instance") -> Instance:
@@ -358,14 +367,12 @@ def _parse_types(
         type_set = types_from_explicit(rows, layout)
     except ValidationError as exc:
         raise InstanceParseError(str(exc), location)
-    canon_rows = sorted({tuple(t.bits) for t in type_set.types})
-    return [list(r) for r in canon_rows], type_set
+    return [list(type_bits(t, layout)) for t in type_set.types], type_set
 
 
 def load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_instance(text, source=path)
+    with open(path, "rb") as fh:
+        return parse_instance(fh.read(), source=path)
 
 
 def lifted_view(instance: Instance) -> tuple[LiftedLayout, StochasticChoiceVector, RationalTypeSet]:
@@ -380,15 +387,15 @@ def lifted_view(instance: Instance) -> tuple[LiftedLayout, StochasticChoiceVecto
             instance.universe, instance.problems, lifted
         )
     else:
-        rows = []
+        layout = instance.layout
+        types = []
         for t in instance.type_set.types:
-            bits = [0] * lifted.layout.coordinate_count
-            for j in range(instance.layout.problem_count):
-                coord = t.chosen[j] - instance.layout.block_offsets[j]
-                member = instance.layout.problems[j].members[coord]
-                bits[lifted.coordinate_for_subset(j, (member,))] = 1
-            rows.append(bits)
-        type_set = make_type_set(rows, lifted.layout)
+            chosen = []
+            for j, c in enumerate(t.chosen):
+                member = layout.problems[j].members[c - layout.block_offsets[j]]
+                chosen.append(lifted.coordinate_for_subset(j, (member,)))
+            types.append(ChoiceTypeVector(tuple(chosen)))
+        type_set = make_type_set(types, lifted.layout)
     return lifted, pi, type_set
 
 
@@ -420,7 +427,7 @@ class ResultReport:
         if self.outcome.mixture is not None:
             out["mixture"] = {
                 "weights": [
-                    {"weight": str(w), "type": list(t.bits)}
+                    {"weight": str(w), "type": list(type_bits(t, self.layout))}
                     for t, w in self.outcome.mixture.weights
                 ]
             }
@@ -472,11 +479,7 @@ class ResultReport:
 
 
 def _describe_type(t, layout: IndexLayout) -> str:
-    picks = []
-    for j in range(layout.problem_count):
-        _, label = layout.coordinate_info(t.chosen[j])
-        picks.append(label)
-    return " | ".join(picks)
+    return " | ".join(layout.coordinate_info(c)[1] for c in t.chosen)
 
 
 def _trials_tree(trials: Sequence[Trial], layout: IndexLayout) -> list[dict]:
@@ -618,7 +621,7 @@ def _verify_mixture(
     failures: list[str] = []
     total = Fraction(0)
     combined = [Fraction(0)] * pi.layout.coordinate_count
-    known = {t.bits for t in type_set.types}
+    known = set(type_set.types)
     for k, item in enumerate(mixture["weights"]):
         if not isinstance(item, dict):
             failures.append(f"mixture entry {k}: not an object")
@@ -629,11 +632,11 @@ def _verify_mixture(
             failures.append(f"mixture entry {k}: malformed weight")
             continue
         try:
-            bits = _ints(item["type"])
+            typ = make_type_vector(_ints(item["type"]), pi.layout)
         except (KeyError, ValueError):
             failures.append(f"mixture entry {k}: malformed type")
             continue
-        if bits not in known:
+        if typ not in known:
             failures.append(f"mixture entry {k}: type is not in the admissible set")
             continue
         if weight <= 0:
@@ -641,9 +644,8 @@ def _verify_mixture(
                 f"mixture entry {k}: weight {_show(weight)} is not positive"
             )
         total += weight
-        for i, b in enumerate(bits):
-            if b:
-                combined[i] += weight
+        for i in typ.chosen:
+            combined[i] += weight
     if total != 1:
         failures.append(f"mixture weights sum to {_show(total)}, not 1")
     if tuple(combined) != tuple(pi.values):
@@ -746,6 +748,6 @@ def lifted_instance_tree(instance: Instance) -> dict:
             [layout.universe.labels[m] for m in p.members] for p in layout.problems
         ],
         "probabilities": probabilities,
-        "types": [list(t.bits) for t in type_set.types],
+        "types": [list(type_bits(t, layout)) for t in type_set.types],
         "set_valued": False,
     }

@@ -206,14 +206,12 @@ def check_restricted_arsp(
         raise LayoutMismatch("data, types and lifted layout must agree")
     trials = restricted_trials(lifted)
     trial_pi = [inner(t, pi) for t in trials]
+    n_trials = len(trials)
     n_types = len(type_set.types)
-    rows = []
+    rows = []  # row r: the nonzero margins of type r, then its surplus column
     for r, typ in enumerate(type_set.types):
-        margins = [
-            p - (typ.chosen[t.block] in t.coordinates) for p, t in zip(trial_pi, trials)
-        ]
-        slack = [Fraction(-1) if k == r else Fraction(0) for k in range(n_types)]
-        rows.append(margins + slack)
+        margins = (p - (typ.chosen[t.block] in t.coordinates) for p, t in zip(trial_pi, trials))
+        rows.append([(s, m) for s, m in enumerate(margins) if m] + [(n_trials + r, -1)])
     rhs = [Fraction(1)] * n_types
-    result = solve_equality_feasibility(rows, rhs)
+    result = solve_equality_feasibility(rows, rhs, n_trials + n_types)
     return not isinstance(result, FeasiblePoint)

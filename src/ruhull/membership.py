@@ -43,9 +43,6 @@ class MixingDistribution:
     def support_size(self) -> int:
         return len(self.weights)
 
-    def as_dict(self) -> dict[ChoiceTypeVector, Fraction]:
-        return dict(self.weights)
-
     @cached_property
     def mixture(self) -> tuple[Fraction, ...]:
         """The combined vector sum(weight * type), computed exactly."""
@@ -87,19 +84,25 @@ def test_membership(
 
     if len(types) == 1:
         only = types[0]
-        if tuple(pi.values) == tuple(Fraction(b) for b in only.bits):
+        picked = set(only.chosen)
+        diff = [v - int(k in picked) for k, v in enumerate(pi.values)]
+        if not any(diff):
             return MixingDistribution(pi.layout, ((only, Fraction(1)),))
         # Deterministic separator: sign pattern of the first differing coordinate.
-        i = next(k for k in range(n_coords) if pi.values[k] != only.bits[k])
-        sign = 1 if pi.values[i] > only.bits[i] else -1
+        i = next(k for k, d in enumerate(diff) if d)
+        sign = 1 if diff[i] > 0 else -1
         direction = tuple(sign if k == i else 0 for k in range(n_coords))
-        gap = sign * (pi.values[i] - only.bits[i])
-        return SeparatingVector(direction, gap)
+        return SeparatingVector(direction, abs(diff[i]))
 
-    rows = [[t.bits[i] for t in types] for i in range(n_coords)]
-    rows.append([1] * len(types))
+    # Nonzeros of one row per coordinate, then of the convexity row.
+    ones = [(k, 1) for k in range(len(types))]
+    rows = [[] for _ in range(n_coords)]
+    for entry, t in zip(ones, types):
+        for i in t.chosen:
+            rows[i].append(entry)
+    rows.append(ones)
     rhs = list(pi.values) + [Fraction(1)]
-    result = solve_equality_feasibility(rows, rhs)
+    result = solve_equality_feasibility(rows, rhs, len(types))
 
     if isinstance(result, FeasiblePoint):
         weights = tuple(

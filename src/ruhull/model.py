@@ -7,7 +7,8 @@ one per member, members in universe order, problems in the given order.
 Everything downstream works on vectors over these coordinates:
 
 * stochastic choice data: one exact probability distribution per block,
-* choice types: 0/1 vectors selecting exactly one member per block,
+* choice types: deterministic choice functions, kept as the coordinate they
+  pick in each block (reports and ``enumerate-types`` print them as 0/1 rows),
 * trials: queries inside a single problem, kept as the problem's index and
   the coordinates of its block that they ask about.
 
@@ -21,9 +22,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from . import _kernels
@@ -211,45 +212,44 @@ def validate_pi(values: Sequence[Rational], layout: IndexLayout) -> StochasticCh
 
 @dataclass(frozen=True)
 class ChoiceTypeVector:
-    """A nonstochastic choice function: exactly one 1 per block.
+    """A nonstochastic choice function: ``chosen[j]`` is its pick in block j."""
 
-    ``chosen`` caches the selected coordinate of each block; it is derived
-    from ``bits`` and excluded from equality and hashing.
-    """
-
-    bits: tuple[int, ...]
-    chosen: tuple[int, ...] = field(compare=False, repr=False)
-
-    def __len__(self) -> int:
-        return len(self.bits)
+    chosen: tuple[int, ...]
 
 
 def make_type_vector(bits: Sequence[int], layout: IndexLayout) -> ChoiceTypeVector:
+    """Validate a 0/1 row over the layout into the type it encodes."""
     n = layout.coordinate_count
     if len(bits) != n:
         raise ValidationError(f"type vector has length {len(bits)}, expected {n}")
-    clean = []
     for i, b in enumerate(bits):
         if b not in (0, 1):
             raise ValidationError(f"type vector entry at coordinate {i} is not 0/1")
-        clean.append(int(b))
     chosen = []
     for j in range(layout.problem_count):
-        ones = [i for i in layout.block_range(j) if clean[i]]
+        ones = [i for i in layout.block_range(j) if bits[i]]
         if len(ones) != 1:
             raise ValidationError(
                 f"type vector selects {len(ones)} alternatives in problem {j}, "
                 "expected exactly one"
             )
         chosen.append(ones[0])
-    return ChoiceTypeVector(tuple(clean), tuple(chosen))
+    return ChoiceTypeVector(tuple(chosen))
+
+
+def type_bits(t: ChoiceTypeVector, layout: IndexLayout) -> tuple[int, ...]:
+    """The 0/1 row of a type over the layout: 1 exactly at its chosen coordinates."""
+    bits = [0] * layout.coordinate_count
+    for i in t.chosen:
+        bits[i] = 1
+    return tuple(bits)
 
 
 @dataclass(frozen=True)
 class RationalTypeSet:
     """The finite set of admissible choice types, canonically ordered.
 
-    Types are distinct and sorted lexicographically on their bit vectors, so
+    Types are distinct and sorted lexicographically on their 0/1 rows, so
     enumeration order (and hence tie-breaking in ``max_over_types``) is
     deterministic across runs.
     """
@@ -260,25 +260,20 @@ class RationalTypeSet:
     def __len__(self) -> int:
         return len(self.types)
 
-    @cached_property
-    def supports(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(t.chosen for t in self.types)
-
 
 def make_type_set(
-    rows: Iterable[Sequence[int] | ChoiceTypeVector], layout: IndexLayout
+    types: Iterable[Sequence[int] | ChoiceTypeVector], layout: IndexLayout
 ) -> RationalTypeSet:
-    """Validate, deduplicate and canonically sort a collection of type vectors."""
-    seen: dict[tuple[int, ...], ChoiceTypeVector] = {}
-    count = 0
-    for row in rows:
-        count += 1
-        t = row if isinstance(row, ChoiceTypeVector) else make_type_vector(row, layout)
-        seen.setdefault(t.bits, t)
-    if count == 0:
+    """Deduplicate and canonically sort types; only 0/1 rows are validated."""
+    unique = {
+        t if isinstance(t, ChoiceTypeVector) else make_type_vector(t, layout) for t in types
+    }
+    if not unique:
         raise ValidationError("a type set must contain at least one type")
-    ordered = tuple(seen[b] for b in sorted(seen))
-    return RationalTypeSet(layout, ordered)
+    # Rows ascending is chosen descending: where two types first differ, the
+    # one picking the earlier coordinate has the larger row.
+    ordered = sorted(unique, key=attrgetter("chosen"), reverse=True)
+    return RationalTypeSet(layout, tuple(ordered))
 
 
 @dataclass(frozen=True)
@@ -358,22 +353,35 @@ def primitive_integers(values: Sequence[Rational]) -> tuple[int, ...]:
 def _as_vector(x) -> Sequence[Rational]:
     if isinstance(x, StochasticChoiceVector):
         return x.values
-    if isinstance(x, ChoiceTypeVector):
-        return x.bits
     if isinstance(x, TrialSequence):
         return x.aggregate
     return x
 
 
+def _ones(x) -> tuple[int, ...] | None:
+    """The coordinates where a trial or a type is 1; None for other vectors."""
+    if isinstance(x, Trial):
+        return x.coordinates
+    if isinstance(x, ChoiceTypeVector):
+        return x.chosen
+    return None
+
+
 def inner(t, v) -> Rational:
     """Exact inner product; accepts raw sequences or the vector types above.
 
-    A trial counts as the 0/1 indicator of its coordinates, so its inner
-    product is the sum of the other vector over those coordinates.
+    A trial counts as the 0/1 indicator of its coordinates and a type as that
+    of its chosen coordinates, so an inner product with either is a sum over
+    those coordinates.
     """
+    if _ones(t) is None:
+        t, v = v, t
+    ones, other = _ones(t), _ones(v)
+    if ones is not None and other is not None:
+        return len(set(ones).intersection(other))
     b = _as_vector(v)
-    if isinstance(t, Trial):
-        return sum(b[i] for i in t.coordinates)
+    if ones is not None:
+        return sum(b[i] for i in ones)
     a = _as_vector(t)
     if len(a) != len(b):
         raise LayoutMismatch(f"vector lengths differ: {len(a)} vs {len(b)}")
@@ -391,7 +399,7 @@ def max_over_types(t, type_set: RationalTypeSet) -> tuple[Rational, ChoiceTypeVe
             f"vector length {len(vec)} does not match layout "
             f"({type_set.layout.coordinate_count} coordinates)"
         )
-    best, at = _kernels.best_support(vec, type_set.supports)
+    best, at = _kernels.best_support(vec, (typ.chosen for typ in type_set.types))
     return best, type_set.types[at]
 
 

@@ -29,6 +29,7 @@ from ruhull import (
     max_over_types,
     positivize,
     singleton_choice_data,
+    type_bits,
     types_from_linear_orders,
     validate_pi,
 )
@@ -238,7 +239,7 @@ def test_criterion_8_facet_enumeration(pairwise3):
     with criterion(8, "facets: irredundant, tight, both triangle inequalities present"):
         _, _, layout, ts = pairwise3
         hrep = enumerate_facets(ts)
-        vertices = [t.bits for t in ts.types]
+        vertices = [type_bits(t, ts.layout) for t in ts.types]
 
         produced = {facet_tight_set(f, vertices) for f in hrep.facets}
         independent = brute_force_facet_tight_sets(vertices)

@@ -196,6 +196,32 @@ class TestHugeJsonIntegers:
         assert "error[InstanceParseError]" in capsys.readouterr().err
 
 
+class TestUnparsableFiles:
+    # Bytes that are not UTF-8, and nesting deeper than json can recurse.
+    NOT_UTF8 = b'{"universe": ["\xff"]}'
+    NESTED = b"[" * 100000 + b"]" * 100000
+
+    def _check(self, tmp_path, data):
+        path = tmp_path / "instance.json"
+        path.write_bytes(data)
+        return main(["check", str(path)])
+
+    def test_check_non_utf8_instance_exits_two(self, tmp_path, capsys):
+        assert self._check(tmp_path, self.NOT_UTF8) == 2
+        assert "error[InstanceParseError]" in capsys.readouterr().err
+
+    def test_check_deeply_nested_instance_exits_two(self, tmp_path, capsys):
+        assert self._check(tmp_path, self.NESTED) == 2
+        assert "error[InstanceParseError]" in capsys.readouterr().err
+
+    def test_verify_deeply_nested_report_exits_two(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_bytes(self.NESTED)
+        instance = str(SAMPLES / "two_point_mixture.json")
+        assert main(["verify", instance, str(report)]) == 2
+        assert "error[InstanceParseError]" in capsys.readouterr().err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -7,6 +7,7 @@ from ruhull import (
     correspondence_types_from_weak_orders,
     lift_layout,
     ordered_bell,
+    type_bits,
     types_from_explicit,
     types_from_linear_orders,
     weak_orders,
@@ -26,12 +27,12 @@ class TestLinearOrderTypes:
         _, _, layout = make_instance("a", [("a",)])
         ts = types_from_linear_orders(layout)
         assert len(ts) == 1
-        assert ts.types[0].bits == (1,)
+        assert type_bits(ts.types[0], ts.layout) == (1,)
 
     def test_two_alternatives(self):
         _, _, layout = make_instance("ab", [("a", "b")])
         ts = types_from_linear_orders(layout)
-        assert [t.bits for t in ts.types] == [(0, 1), (1, 0)]
+        assert [type_bits(t, ts.layout) for t in ts.types] == [(0, 1), (1, 0)]
 
     def test_duplicate_patterns_merged(self):
         # One problem cannot distinguish orders that agree on its best element.
@@ -111,7 +112,7 @@ class TestCorrespondenceTypes:
         ts = correspondence_types_from_weak_orders(universe, problems, lifted)
         assert len(ts) == 1
         # Block order is {}, {a}; the single type must pick {a}.
-        assert ts.types[0].bits == (0, 1)
+        assert type_bits(ts.types[0], ts.layout) == (0, 1)
 
     def test_linear_orders_never_select_non_singletons(self):
         universe, problems, _ = make_instance("abc", [("a", "b"), ("a", "b", "c")])

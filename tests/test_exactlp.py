@@ -30,6 +30,12 @@ from conftest import (
 )
 
 
+def solve(rows, rhs):
+    """Solve a system written as dense rows, handing the solver their nonzeros."""
+    nonzeros = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+    return solve_equality_feasibility(nonzeros, rhs, len(rows[0]))
+
+
 def check_result(rows, rhs, result):
     """Either branch must carry an exact, self-validating witness."""
     m, n = len(rows), len(rows[0])
@@ -52,7 +58,7 @@ def check_result(rows, rhs, result):
 def test_simple_feasible():
     rows = [[1, 1], [1, -1]]
     rhs = [2, 0]
-    result = solve_equality_feasibility(rows, rhs)
+    result = solve(rows, rhs)
     assert isinstance(result, FeasiblePoint)
     assert result.x == (1, 1)
 
@@ -61,7 +67,7 @@ def test_simple_infeasible():
     # x1 + x2 = -1 has no nonnegative solution.
     rows = [[1, 1]]
     rhs = [-1]
-    result = solve_equality_feasibility(rows, rhs)
+    result = solve(rows, rhs)
     assert isinstance(result, FarkasCertificate)
     check_result(rows, rhs, result)
 
@@ -69,7 +75,7 @@ def test_simple_infeasible():
 def test_infeasible_by_conflict():
     rows = [[1, 1], [1, 1]]
     rhs = [1, 2]
-    result = solve_equality_feasibility(rows, rhs)
+    result = solve(rows, rhs)
     assert isinstance(result, FarkasCertificate)
     check_result(rows, rhs, result)
 
@@ -77,7 +83,7 @@ def test_infeasible_by_conflict():
 def test_redundant_rows_ok():
     rows = [[1, 1], [2, 2]]
     rhs = [1, 2]
-    result = solve_equality_feasibility(rows, rhs)
+    result = solve(rows, rhs)
     assert isinstance(result, FeasiblePoint)
     check_result(rows, rhs, result)
 
@@ -85,7 +91,7 @@ def test_redundant_rows_ok():
 def test_zero_rhs():
     rows = [[1, -1], [1, 1]]
     rhs = [0, 0]
-    result = solve_equality_feasibility(rows, rhs)
+    result = solve(rows, rhs)
     assert isinstance(result, FeasiblePoint)
     assert result.x == (0, 0)
 
@@ -93,7 +99,7 @@ def test_zero_rhs():
 def test_negative_rhs_row_is_reoriented():
     rows = [[-1, 0], [0, 1]]
     rhs = [-3, 2]
-    result = solve_equality_feasibility(rows, rhs)
+    result = solve(rows, rhs)
     assert isinstance(result, FeasiblePoint)
     assert result.x == (3, 2)
 
@@ -101,19 +107,27 @@ def test_negative_rhs_row_is_reoriented():
 def test_rational_entries():
     rows = [[Fraction(1, 3), Fraction(1, 6)]]
     rhs = [Fraction(1, 2)]
-    result = solve_equality_feasibility(rows, rhs)
+    result = solve(rows, rhs)
     check_result(rows, rhs, result)
     assert isinstance(result, FeasiblePoint)
 
 
-def test_ragged_matrix_rejected():
-    with pytest.raises(ValidationError):
-        solve_equality_feasibility([[1, 2], [1]], [1, 1])
+def test_column_out_of_range_rejected():
+    for column in (2, -1):
+        with pytest.raises(ValidationError, match="out of range"):
+            solve_equality_feasibility([[(0, 1), (column, 1)]], [1], 2)
+
+
+def test_column_without_nonzeros():
+    # Columns that no row lists are zero columns: they stay at zero.
+    result = solve_equality_feasibility([[(1, 2)]], [4], 3)
+    assert isinstance(result, FeasiblePoint)
+    assert result.x == (0, 2, 0)
 
 
 def test_empty_rejected():
     with pytest.raises(ValidationError):
-        solve_equality_feasibility([], [])
+        solve_equality_feasibility([], [], 0)
 
 
 def test_degenerate_ties_terminate():
@@ -127,12 +141,12 @@ def test_degenerate_ties_terminate():
         [1, 1, 0, 0, 0, -1],
     ]
     rhs = [0, 0, 0, 0]
-    result = solve_equality_feasibility(rows, rhs)
+    result = solve(rows, rhs)
     assert isinstance(result, FeasiblePoint)
     check_result(rows, rhs, result)
 
     conflicted = rows + [[0, 0, 0, 0, 0, 1]]
-    result = solve_equality_feasibility(conflicted, rhs + [-1])
+    result = solve(conflicted, rhs + [-1])
     assert isinstance(result, FarkasCertificate)
     check_result(conflicted, rhs + [-1], result)
 
@@ -145,7 +159,7 @@ def test_random_systems_self_validate(data):
     entry = st.integers(-4, 4)
     rows = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
     rhs = [data.draw(st.integers(-6, 6)) for _ in range(m)]
-    result = solve_equality_feasibility(rows, rhs)
+    result = solve(rows, rhs)
     check_result(rows, rhs, result)
 
 
@@ -159,7 +173,7 @@ def test_planted_solutions_are_found(data):
     rows = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
     planted = [data.draw(st.integers(0, 4)) for _ in range(n)]
     rhs = [sum(rows[i][j] * planted[j] for j in range(n)) for i in range(m)]
-    result = solve_equality_feasibility(rows, rhs)
+    result = solve(rows, rhs)
     assert isinstance(result, FeasiblePoint)
     check_result(rows, rhs, result)
 
@@ -185,7 +199,7 @@ def test_degenerate_systems_terminate(data):
     else:
         x = [data.draw(st.sampled_from([0, 0, 0, 1])) for _ in col_picks]
         rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
-    result = solve_equality_feasibility(rows, rhs)
+    result = solve(rows, rhs)
     check_result(rows, rhs, result)
     if rhs_kind != "small":
         assert isinstance(result, FeasiblePoint)
@@ -208,7 +222,7 @@ def test_pivot_updates_every_row_once(monkeypatch):
         rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(m)]
         rhs = [rng.randrange(-4, 5) for _ in range(m)]
         widths.clear()
-        check_result(rows, rhs, solve_equality_feasibility(rows, rhs))
+        check_result(rows, rhs, solve(rows, rhs))
         assert len(widths) % m == 0
         assert all(w == m + 1 for w in widths)
 

@@ -12,6 +12,7 @@ from ruhull import (
     facet_membership_oracle,
     inner,
     membership,
+    type_bits,
     types_from_explicit,
     types_from_linear_orders,
     validate_pi,
@@ -74,7 +75,7 @@ class TestSmallInstances:
 class TestPairwiseThreeFacets:
     def test_matches_independent_hyperplane_enumeration(self, pairwise3, pairwise3_hrep):
         _, _, _, ts = pairwise3
-        vertices = [t.bits for t in ts.types]
+        vertices = [type_bits(t, ts.layout) for t in ts.types]
         expected = brute_force_facet_tight_sets(vertices)
         produced = {facet_tight_set(f, vertices) for f in pairwise3_hrep.facets}
         assert produced == expected
@@ -88,7 +89,7 @@ class TestPairwiseThreeFacets:
         # The two cyclic comparison patterns each admit at most two of three
         # unit queries; their facet identities are checked via tight sets.
         _, _, _, ts = pairwise3
-        vertices = [t.bits for t in ts.types]
+        vertices = [type_bits(t, ts.layout) for t in ts.types]
         produced = {facet_tight_set(f, vertices) for f in pairwise3_hrep.facets}
         tri1 = inequality_tight_set((1, 0, 0, 1, 1, 0), 2, vertices)
         tri2 = inequality_tight_set((0, 1, 1, 0, 0, 1), 2, vertices)
@@ -101,7 +102,7 @@ class TestPairwiseThreeFacets:
         from conftest import affine_rank
 
         _, _, _, ts = pairwise3
-        vertices = [t.bits for t in ts.types]
+        vertices = [type_bits(t, ts.layout) for t in ts.types]
         for f in pairwise3_hrep.facets:
             tight = [vertices[i] for i in facet_tight_set(f, vertices)]
             assert len(tight) >= pairwise3_hrep.dimension
@@ -112,7 +113,7 @@ class TestPairwiseThreeFacets:
         # walk from the barycenter through the dropped facet's tight face.
         _, _, layout, ts = pairwise3
         n = layout.coordinate_count
-        vertices = [t.bits for t in ts.types]
+        vertices = [type_bits(t, ts.layout) for t in ts.types]
         bary = [
             sum(Fraction(v[i]) for v in vertices) / len(vertices) for i in range(n)
         ]
@@ -137,7 +138,7 @@ class TestPairwiseThreeFacets:
         assert facet_membership_oracle(uniform_pi, pairwise3_hrep)
         assert not facet_membership_oracle(cyclic_pi, pairwise3_hrep)
         for t in ts.types:
-            vertex_pi = validate_pi(t.bits, layout)
+            vertex_pi = validate_pi(type_bits(t, ts.layout), layout)
             assert facet_membership_oracle(vertex_pi, pairwise3_hrep)
 
     def test_oracle_agrees_with_lp_on_dense_grid(self, pairwise3, pairwise3_hrep):
@@ -192,7 +193,7 @@ class TestEssentialSequences:
     def test_tightness_at_witness_vertices(self, pairwise3, pairwise3_hrep):
         # Each essential sequence achieves equality for some vertex data.
         _, _, layout, ts = pairwise3
-        vertices = [t.bits for t in ts.types]
+        vertices = [type_bits(t, ts.layout) for t in ts.types]
         seqs = essential_sequences(pairwise3_hrep, layout)
         for f, s in zip(pairwise3_hrep.facets, seqs):
             tight = facet_tight_set(f, vertices)
@@ -210,10 +211,10 @@ class TestLowerDimensionalHulls:
     )
     def test_matches_oracle_on_type_subsets(self, pairwise3, type_indices):
         _, _, layout, full = pairwise3
-        rows = [list(full.types[i].bits) for i in type_indices]
+        rows = [list(type_bits(full.types[i], full.layout)) for i in type_indices]
         ts = types_from_explicit(rows, layout)
         h = enumerate_facets(ts)
-        vertices = [t.bits for t in ts.types]
+        vertices = [type_bits(t, ts.layout) for t in ts.types]
         produced = {facet_tight_set(f, vertices) for f in h.facets}
         assert produced == brute_force_facet_tight_sets(vertices)
         # Equations must hold at every vertex and pin the hull's dimension.
@@ -230,7 +231,7 @@ class TestLowerDimensionalHulls:
         from conftest import random_rational_pi, seeded
 
         _, _, layout, full = pairwise3
-        rows = [list(full.types[i].bits) for i in type_indices]
+        rows = [list(type_bits(full.types[i], full.layout)) for i in type_indices]
         ts = types_from_explicit(rows, layout)
         h = enumerate_facets(ts)
         rng = seeded(831 + len(type_indices))
@@ -251,7 +252,7 @@ class TestLiftedHulls:
         ts = correspondence_types_from_weak_orders(universe, problems, lifted)
         h = enumerate_facets(ts)
         assert h.dimension == 2
-        vertices = [t.bits for t in ts.types]
+        vertices = [type_bits(t, ts.layout) for t in ts.types]
         produced = {facet_tight_set(f, vertices) for f in h.facets}
         assert produced == brute_force_facet_tight_sets(vertices)
         # The empty-set coordinate is pinned to zero by an equation.
@@ -268,7 +269,7 @@ class TestLiftedHulls:
         lifted = lift_layout(universe, problems)
         ts = correspondence_types_from_weak_orders(universe, problems, lifted)
         h = enumerate_facets(ts)
-        vertices = [t.bits for t in ts.types]
+        vertices = [type_bits(t, ts.layout) for t in ts.types]
         assert {facet_tight_set(f, vertices) for f in h.facets} == (
             brute_force_facet_tight_sets(vertices)
         )
@@ -321,7 +322,7 @@ class TestLargerSmoke:
         assert h.dimension == expect_dim
         assert len(h.facets) == expect_facets
         n_coords = layout.coordinate_count
-        vertices = [t.bits for t in ts.types]
+        vertices = [type_bits(t, ts.layout) for t in ts.types]
         produced = set()
         for f in h.facets:
             vals = [inner(f.normal, v) for v in vertices]
@@ -350,4 +351,4 @@ class TestLargerSmoke:
         assert produced == expected
 
         for t in ts.types[:24]:
-            assert facet_membership_oracle(validate_pi(t.bits, layout), h)
+            assert facet_membership_oracle(validate_pi(type_bits(t, ts.layout), layout), h)

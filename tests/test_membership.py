@@ -12,6 +12,7 @@ from ruhull import (
     make_type_set,
     max_over_types,
     membership,
+    type_bits,
     types_from_explicit,
     types_from_linear_orders,
     validate_pi,
@@ -46,7 +47,7 @@ class TestTwoPointHull:
         pi = validate_pi([Fraction(3, 10), Fraction(7, 10)], layout)
         result = membership.test_membership(pi, ts)
         assert isinstance(result, MixingDistribution)
-        weights = {t.bits: w for t, w in result.weights}
+        weights = {type_bits(t, ts.layout): w for t, w in result.weights}
         assert weights == {(1, 0): Fraction(3, 10), (0, 1): Fraction(7, 10)}
 
 
@@ -67,7 +68,8 @@ class TestPairwiseThree:
         _, _, layout, ts = pairwise3
         # A 0/1 point is a cube vertex, so it lies in the hull only if it is
         # itself one of the types; the cyclic pattern is not.
-        assert tuple(int(v) for v in cyclic_pi.values) not in {t.bits for t in ts.types}
+        vertices = {type_bits(t, ts.layout) for t in ts.types}
+        assert tuple(int(v) for v in cyclic_pi.values) not in vertices
         result = membership.test_membership(cyclic_pi, ts)
         assert isinstance(result, SeparatingVector)
         assert_valid_outcome(cyclic_pi, ts, result)

@@ -18,6 +18,7 @@ from ruhull import (
     max_over_types,
     problem_from_labels,
     trial_for_members,
+    type_bits,
     validate_pi,
 )
 
@@ -255,7 +256,8 @@ class TestTypeSet:
         rows = [[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0]]
         ts = make_type_set(rows, layout)
         assert len(ts) == 2
-        assert [t.bits for t in ts.types] == [(0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0)]
+        rows = [type_bits(t, ts.layout) for t in ts.types]
+        assert rows == [(0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0)]
 
     def test_empty_rejected(self, pairwise3):
         _, _, layout, _ = pairwise3
