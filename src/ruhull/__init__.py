@@ -26,7 +26,6 @@ from .enumeration import (
 )
 from .errors import (
     CapExceeded,
-    EnumerationCancelled,
     InstanceParseError,
     LayoutMismatch,
     RuhullError,

@@ -2,11 +2,11 @@
 
 * ``dot``: inner products (``model.inner``, facet offsets and incidences);
 * ``best_support``: the best type for a functional (``model.max_over_types``);
-* ``sub_scaled``: one row-reduction step of the facets RREF;
-* ``bareiss_row``: one row update of a fraction-free simplex pivot;
+* ``bareiss_row``: one row update of a fraction-free simplex pivot, and also
+  the elimination step of the facets row reduction;
 * ``combine``: a new ray of the double description method.
 
-All five are exact: they operate on Python ints and ``Fraction`` values and
+All four are exact: they operate on Python ints and ``Fraction`` values and
 never convert to floating point. Zero entries are skipped so that exact
 arithmetic only pays for nonzero work (pivot blocks and 0/1 vectors are
 sparse in practice). Callers look the kernels up on this module at call time
@@ -40,15 +40,6 @@ def best_support(t, supports):
             best = v
             best_at = k
     return best, best_at
-
-
-def sub_scaled(row, pivot_row, factor):
-    """In place: row -= factor * pivot_row, skipping zero pivot entries."""
-    if not factor:
-        return
-    for j, p in enumerate(pivot_row):
-        if p:
-            row[j] = row[j] - factor * p
 
 
 def bareiss_row(row, pivot_row, coeff, pivot, divisor):

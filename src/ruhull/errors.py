@@ -24,6 +24,3 @@ class InstanceParseError(RuhullError, ValueError):
         self.location = location
         super().__init__(f"{location}: {message}" if location else message)
 
-
-class EnumerationCancelled(RuhullError, RuntimeError):
-    """A cooperative cancellation token stopped a long-running enumeration."""

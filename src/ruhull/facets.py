@@ -7,12 +7,13 @@ sequence via the certificate pipeline, and offers the resulting description
 as an independent membership oracle.
 
 The hull is never full dimensional in coordinate space (each block's entries
-sum to one), so the affine hull is computed first by exact row reduction of
-vertex differences; facets are then enumerated inside the hull with the
-double description method over exact rationals: start from a simplicial cone
-spanned by the first affinely independent vertices and insert the remaining
-vertices one at a time, maintaining the extreme rays of the dual cone with a
-combinatorial adjacency test.
+sum to one), so the affine hull is computed first by fraction-free integer
+row reduction of vertex differences; facets are then enumerated inside the
+hull with the double description method over the integers: start from a
+simplicial cone spanned by the first affinely independent vertices and insert
+the remaining vertices one at a time, maintaining the extreme rays of the
+dual cone with a combinatorial adjacency test. The same row reduction picks
+those vertices and inverts the starting cone.
 
 Vertex-to-halfspace conversion blows up quickly in general, so hard caps on
 coordinates and vertex counts refuse anything beyond desk scale.
@@ -21,12 +22,10 @@ coordinates and vertex counts refuse anything beyond desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
 
 from . import _kernels
 from .certificate import decompose_to_trials, integerize, positivize
-from .errors import CapExceeded, EnumerationCancelled, LayoutMismatch
+from .errors import CapExceeded, LayoutMismatch
 from .model import (
     IndexLayout,
     RationalTypeSet,
@@ -67,82 +66,70 @@ class HRepresentation:
     facets: tuple[FacetInequality, ...]
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns the nonzero rows and pivot columns."""
-    if not rows:
-        return [], []
-    n = len(rows[0])
+def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced row echelon form of an integer matrix.
+
+    Returns the nonzero rows and their pivot columns. Each row is the
+    rational RREF row times one common nonzero pivot d (the last pivot
+    entry, a signed minor of the input), so every pivot entry equals d.
+    Rows are updated with ``bareiss_row``; divisions are exact.
+    """
     mat = [list(r) for r in rows]
     pivots: list[int] = []
     rank = 0
-    for col in range(n):
-        pivot_row = next(
-            (i for i in range(rank, len(mat)) if mat[i][col] != 0), None
-        )
+    divisor = 1
+    for col in range(len(mat[0]) if mat else 0):
+        pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot_row is None:
             continue
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = 1 / mat[rank][col]
-        if inv != 1:
-            mat[rank] = [v * inv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                _kernels.sub_scaled(mat[i], mat[rank], mat[i][col])
+        prow = mat[rank]
+        pivot = prow[col]
+        for i, row in enumerate(mat):
+            if i != rank:
+                _kernels.bareiss_row(row, prow, row[col], pivot, divisor)
+        divisor = pivot
         pivots.append(col)
         rank += 1
     return mat[:rank], pivots
 
 
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    reduced, pivots = _rref(aug)
-    if pivots != list(range(n)):
-        raise AssertionError("matrix is singular")
-    return [row[n:] for row in reduced]
-
-
 def _affine_hull(
     vertices: list[tuple[int, ...]],
-) -> tuple[list[list[Fraction]], list[int], list[int]]:
-    """Row-reduced basis of the hull's direction space, its pivot and free columns."""
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """Reduced basis of the hull's direction space, its pivot and free columns."""
     base = vertices[0]
-    diffs = [
-        [Fraction(v[i] - base[i]) for i in range(len(base))] for v in vertices[1:]
-    ]
+    diffs = [[v[i] - base[i] for i in range(len(base))] for v in vertices[1:]]
     basis, pivots = _rref(diffs)
     free = [c for c in range(len(base)) if c not in pivots]
     return basis, pivots, free
 
 
 def _equations(
-    basis: list[list[Fraction]],
+    basis: list[list[int]],
     pivots: list[int],
     free: list[int],
     base: tuple[int, ...],
 ) -> tuple[AffineEquation, ...]:
     """One equation per free column; sign fixed so the first nonzero entry is positive."""
     n = len(base)
+    d = basis[0][pivots[0]] if basis else 1
     eqs = []
     for f in free:
-        coeff = [Fraction(0)] * n
-        coeff[f] = Fraction(1)
+        coeff = [0] * n
+        coeff[f] = d
         for k, p in enumerate(pivots):
             coeff[p] = -basis[k][f]
         ints = list(primitive_integers(coeff))
         first = next(v for v in ints if v)
         if first < 0:
             ints = [-v for v in ints]
-        const = _kernels.dot(ints, base)
-        eqs.append(AffineEquation(tuple(ints), int(const)))
+        eqs.append(AffineEquation(tuple(ints), _kernels.dot(ints, base)))
     eqs.sort(key=lambda e: (e.coefficients, e.constant))
     return tuple(eqs)
 
 
-def _double_description(
-    points: list[tuple[int, ...]],
-    should_cancel: Callable[[], bool] | None,
-) -> list[tuple[int, ...]]:
+def _double_description(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Extreme rays of {y : y . (p, 1) >= 0 for all points p}.
 
     Each ray corresponds to one facet of the (full-dimensional) hull of the
@@ -152,23 +139,26 @@ def _double_description(
     dim = len(points[0]) + 1
     generators = [tuple(p) + (1,) for p in points]
 
-    # Greedy prefix of dim linearly independent generators.
-    chosen: list[int] = []
-    elim: list[list[Fraction]] = []
-    for idx, g in enumerate(generators):
-        candidate = elim + [[Fraction(v) for v in g]]
-        reduced, _ = _rref(candidate)
-        if len(reduced) > len(elim):
-            chosen.append(idx)
-            elim = reduced
-        if len(chosen) == dim:
-            break
+    # The first dim linearly independent generators: the pivot columns of
+    # the transposed generator matrix.
+    _, chosen = _rref([list(column) for column in zip(*generators)])
     if len(chosen) < dim:
         raise AssertionError("points do not affinely span their space")
 
-    g_matrix = [[Fraction(v) for v in generators[i]] for i in chosen]
-    inverse = _invert(g_matrix)
-    rays = [primitive_integers([inverse[r][c] for r in range(dim)]) for c in range(dim)]
+    # The starting rays are the columns of G^-1 for the chosen rows G. The
+    # right block of the reduced [G | I] is d * G^-1, and d may be negative.
+    aug = [
+        list(generators[i]) + [int(r == c) for c in range(dim)]
+        for r, i in enumerate(chosen)
+    ]
+    reduced, pivots = _rref(aug)
+    if pivots != list(range(dim)):
+        raise AssertionError("matrix is singular")
+    sign = 1 if reduced[0][0] > 0 else -1
+    rays = [
+        primitive_integers([sign * reduced[r][dim + c] for r in range(dim)])
+        for c in range(dim)
+    ]
 
     # Exact zero sets (bitmask over processed inequalities) drive the
     # combinatorial adjacency test; they are always computed by evaluation
@@ -188,8 +178,6 @@ def _double_description(
     for idx, g in enumerate(generators):
         if idx in chosen_set:
             continue
-        if should_cancel is not None and should_cancel():
-            raise EnumerationCancelled("facet enumeration cancelled")
         position = len(processed)
         values = [_kernels.dot(g, r) for r in rays]
         plus = [k for k, v in enumerate(values) if v > 0]
@@ -225,13 +213,11 @@ def enumerate_facets(
     type_set: RationalTypeSet,
     max_coordinates: int = MAX_FACET_COORDINATES,
     max_types: int = MAX_FACET_TYPES,
-    should_cancel: Callable[[], bool] | None = None,
 ) -> HRepresentation:
     """Complete irredundant halfspace description of the hull of the type set.
 
     Output order is deterministic: equations and facets are sorted on their
-    integer coefficient vectors. ``should_cancel`` is polled between vertex
-    insertions so long enumerations can be abandoned cooperatively.
+    integer coefficient vectors.
     """
     layout = type_set.layout
     n = layout.coordinate_count
@@ -251,7 +237,7 @@ def enumerate_facets(
 
     # Hull coordinates: the pivot-column entries of (vertex - base).
     points = [tuple(v[p] - base[p] for p in pivots) for v in vertices]
-    rays = _double_description(points, should_cancel)
+    rays = _double_description(points)
 
     facets = []
     for ray in rays:

@@ -112,8 +112,6 @@ class Instance:
     universe: ChoiceUniverse
     problems: tuple[ChoiceProblem, ...]
     set_valued: bool
-    types_spec: Any
-    base_pi: StochasticChoiceVector | None
     lifted: LiftedLayout | None
     pi: StochasticChoiceVector
     type_set: RationalTypeSet
@@ -252,8 +250,6 @@ def _parse_singleton(
         universe=universe,
         problems=problems,
         set_valued=False,
-        types_spec=types_spec,
-        base_pi=pi,
         lifted=None,
         pi=pi,
         type_set=type_set,
@@ -318,8 +314,6 @@ def _parse_set_valued(
         universe=universe,
         problems=problems,
         set_valued=True,
-        types_spec=types_spec,
-        base_pi=None,
         lifted=lifted,
         pi=pi,
         type_set=type_set,
@@ -382,21 +376,15 @@ def lifted_view(instance: Instance) -> tuple[LiftedLayout, StochasticChoiceVecto
         return instance.lifted, instance.pi, instance.type_set
     lifted = lift_layout(instance.universe, instance.problems)
     pi = singleton_choice_data(instance.pi, lifted)
-    if instance.types_spec == "linear-orders":
-        type_set = correspondence_types_from_linear_orders(
-            instance.universe, instance.problems, lifted
-        )
-    else:
-        layout = instance.layout
-        types = []
-        for t in instance.type_set.types:
-            chosen = []
-            for j, c in enumerate(t.chosen):
-                member = layout.problems[j].members[c - layout.block_offsets[j]]
-                chosen.append(lifted.coordinate_for_subset(j, (member,)))
-            types.append(ChoiceTypeVector(tuple(chosen)))
-        type_set = make_type_set(types, lifted.layout)
-    return lifted, pi, type_set
+    layout = instance.layout
+    types = []
+    for t in instance.type_set.types:
+        chosen = []
+        for j, c in enumerate(t.chosen):
+            member = layout.problems[j].members[c - layout.block_offsets[j]]
+            chosen.append(lifted.coordinate_for_subset(j, (member,)))
+        types.append(ChoiceTypeVector(tuple(chosen)))
+    return lifted, pi, make_type_set(types, lifted.layout)
 
 
 @dataclass(frozen=True)

@@ -341,11 +341,10 @@ def primitive_integers(values: Sequence[Rational]) -> tuple[int, ...]:
 
     The result has gcd 1; the zero vector (and the empty one) maps to itself.
     """
-    fracs = [Fraction(v) for v in values]
-    if not any(fracs):
-        return tuple(0 for _ in fracs)
-    denom = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom) for f in fracs]
+    if not any(values):
+        return tuple(0 for _ in values)
+    denom = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (denom // v.denominator) for v in values]
     g = math.gcd(*ints)
     return tuple(v // g for v in ints)
 

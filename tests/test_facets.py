@@ -4,12 +4,12 @@ import pytest
 
 from ruhull import (
     CapExceeded,
-    EnumerationCancelled,
     MixingDistribution,
     arsp_check,
     enumerate_facets,
     essential_sequences,
     facet_membership_oracle,
+    facets,
     inner,
     membership,
     type_bits,
@@ -18,12 +18,15 @@ from ruhull import (
     validate_pi,
 )
 
+from conftest import _rref as reference_rref
 from conftest import (
+    affine_rank,
     brute_force_facet_tight_sets,
     facet_tight_set,
     grid_distributions,
     inequality_tight_set,
     make_instance,
+    seeded,
 )
 
 
@@ -60,16 +63,83 @@ class TestSmallInstances:
         assert not facet_membership_oracle(other, h)
 
     def test_caps(self, pairwise3):
+        # The message names the job's size (6 vertices, 6 coordinates) and
+        # both caps, whichever of them stopped it.
         _, _, _, ts = pairwise3
-        with pytest.raises(CapExceeded, match="prohibitive"):
+        with pytest.raises(CapExceeded, match="prohibitive") as exc:
             enumerate_facets(ts, max_coordinates=4)
-        with pytest.raises(CapExceeded):
+        assert "refusing 6 vertices in 6 coordinates" in str(exc.value)
+        assert "(caps: 5000 vertices, 4 coordinates)" in str(exc.value)
+        with pytest.raises(CapExceeded) as exc:
             enumerate_facets(ts, max_types=2)
+        assert "refusing 6 vertices in 6 coordinates" in str(exc.value)
+        assert "(caps: 2 vertices, 24 coordinates)" in str(exc.value)
 
-    def test_cancellation(self, pairwise3):
-        _, _, _, ts = pairwise3
-        with pytest.raises(EnumerationCancelled):
-            enumerate_facets(ts, should_cancel=lambda: True)
+
+class TestRowReduction:
+    @staticmethod
+    def random_matrix(rng):
+        n_cols = rng.randrange(1, 7)
+        rows = [
+            [rng.randrange(-3, 4) for _ in range(n_cols)]
+            for _ in range(rng.randrange(1, 6))
+        ]
+        if rng.random() < 0.3:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * n_cols)
+        if rng.random() < 0.5:
+            # A combination of two rows, so the matrix is rank deficient.
+            a, b = rng.randrange(-2, 3), rng.randrange(-2, 3)
+            x, y = rng.choice(rows), rng.choice(rows)
+            rows.append([a * u + b * v for u, v in zip(x, y)])
+        return rows
+
+    def test_matches_fraction_reference(self):
+        # Each row is the rational RREF row times one common pivot d.
+        rng = seeded(8)
+        signs = set()
+        for _ in range(300):
+            rows = self.random_matrix(rng)
+            reduced, pivots = facets._rref(rows)
+            expected, expected_pivots = reference_rref(rows)
+            assert pivots == expected_pivots
+            assert len(reduced) == len(expected)
+            if not reduced:
+                continue
+            d = reduced[0][pivots[0]]
+            signs.add(d > 0)
+            for row, p, ref in zip(reduced, pivots, expected):
+                assert all(type(v) is int for v in row)
+                assert row[p] == d
+                assert [Fraction(v, d) for v in row] == ref
+        assert signs == {True, False}
+
+    def test_double_description_on_signed_points(self):
+        # Points with negative coordinates: on (0,) and (-1,) the reduced
+        # starting cone [G | I] has common pivot -1, so the rays are only
+        # right if the sign of d is taken into account.
+        rng = seeded(9)
+        samples = [[(0,), (-1,)], [(0, 0), (-1, 0), (0, -1)]]
+        while len(samples) < 40:
+            dim = rng.randrange(1, 4)
+            points = list({
+                tuple(rng.randrange(-2, 3) for _ in range(dim))
+                for _ in range(rng.randrange(dim + 1, dim + 6))
+            })
+            if affine_rank(points) == dim + 1:
+                samples.append(points)
+        for points in samples:
+            rays = facets._double_description(points)
+            tight_sets = set()
+            for ray in rays:
+                values = [inner(ray, p + (1,)) for p in points]
+                assert min(values) == 0
+                tight_sets.add(frozenset(i for i, v in enumerate(values) if v == 0))
+            assert len(tight_sets) == len(rays)
+            assert tight_sets == brute_force_facet_tight_sets(points)
+
+    def test_empty_and_zero_matrices(self):
+        assert facets._rref([]) == ([], [])
+        assert facets._rref([[0, 0], [0, 0]]) == ([], [])
 
 
 class TestPairwiseThreeFacets:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,12 @@ from ruhull import (
     correspondence_types_from_weak_orders,
     lift_layout,
     lift_set_valued_data,
+    lifted_view,
     membership,
+    parse_instance,
     restricted_trials,
     singleton_choice_data,
+    type_bits,
     types_from_linear_orders,
     validate_pi,
 )
@@ -187,3 +191,56 @@ class TestSingletonRecovery:
             membership.test_membership(lifted_pi, lifted_ts), MixingDistribution
         )
         assert base_verdict == lifted_verdict
+
+
+class TestLiftedView:
+    @staticmethod
+    def instance(universe, problems, types):
+        tree = {
+            "universe": list(universe.labels),
+            "problems": [[universe.labels[m] for m in p.members] for p in problems],
+            "probabilities": [[f"1/{p.size}"] * p.size for p in problems],
+            "types": types,
+            "set_valued": False,
+        }
+        return parse_instance(json.dumps(tree))
+
+    @staticmethod
+    def chosen_subsets(lifted, type_set):
+        """Each lifted type as the subset it chooses in every problem."""
+        layout = lifted.layout
+        out = set()
+        for t in type_set.types:
+            out.add(tuple(
+                lifted.block_subsets(j)[c - layout.block_offsets[j]]
+                for j, c in enumerate(t.chosen)
+            ))
+        return out
+
+    def test_linear_orders_match_the_correspondence_types(self):
+        rng = seeded(11)
+        for _ in range(40):
+            universe, problems, _ = random_small_instance(rng)
+            lifted, _, type_set = lifted_view(
+                self.instance(universe, problems, "linear-orders")
+            )
+            expected = correspondence_types_from_linear_orders(
+                universe, problems, lifted
+            )
+            assert type_set == expected
+
+    def test_explicit_rows_map_to_singletons(self):
+        rng = seeded(12)
+        for _ in range(40):
+            universe, problems, layout = random_small_instance(rng)
+            orders = types_from_linear_orders(layout).types
+            base = rng.sample(orders, rng.randrange(1, len(orders) + 1))
+            rows = [list(type_bits(t, layout)) for t in base]
+            lifted, _, type_set = lifted_view(self.instance(universe, problems, rows))
+            expected = {
+                tuple((problems[j].members[c - layout.block_offsets[j]],)
+                      for j, c in enumerate(t.chosen))
+                for t in base
+            }
+            assert len(type_set) == len(expected)
+            assert self.chosen_subsets(lifted, type_set) == expected
