@@ -46,6 +46,7 @@ from .lifting import (
     lift_set_valued_data,
     restricted_trials,
     singleton_choice_data,
+    singleton_types,
 )
 from .fileio import (
     Instance,

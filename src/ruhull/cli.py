@@ -3,7 +3,8 @@
 Subcommands: check, enumerate-types, facets, lift, verify. Exit codes:
 0 rationalizable / success, 2 input error (including failed verification),
 3 not rationalizable, 4 enumeration cap exceeded. Reports go to stdout and
-are byte-identical across runs; wall-clock timing goes to stderr.
+are byte-identical across runs. Every subcommand prints one ``elapsed`` line
+on stderr, the wall-clock time of the whole command (none after an error).
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ def _cmd_check(args) -> int:
         sys.stdout.write(_dump(report.to_structured()))
     else:
         sys.stdout.write(report.to_text())
-    print(f"elapsed: {report.elapsed_seconds:.6f}s", file=sys.stderr)
     return EXIT_OK if report.outcome.rationalizable else EXIT_NOT_RATIONALIZABLE
 
 
@@ -226,8 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     except RuhullError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if args.command != "check":
-        print(f"elapsed: {time.monotonic() - start:.6f}s", file=sys.stderr)
+    print(f"elapsed: {time.monotonic() - start:.6f}s", file=sys.stderr)
     return code
 
 

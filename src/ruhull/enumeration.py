@@ -15,20 +15,19 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence, TYPE_CHECKING
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, ValidationError
+from .lifting import LiftedLayout, singleton_types
 from .model import (
     ChoiceProblem,
     ChoiceTypeVector,
     ChoiceUniverse,
     IndexLayout,
     RationalTypeSet,
+    build_layout,
     make_type_set,
 )
-
-if TYPE_CHECKING:
-    from .lifting import LiftedLayout
 
 MAX_LINEAR_ORDER_UNIVERSE = 10
 MAX_WEAK_ORDER_UNIVERSE = 6
@@ -106,7 +105,7 @@ def types_from_explicit(
 def correspondence_types_from_weak_orders(
     universe: ChoiceUniverse,
     problems: Sequence[ChoiceProblem],
-    lifted: "LiftedLayout",
+    lifted: LiftedLayout,
 ) -> RationalTypeSet:
     """Set-valued maximizer types on a lifted layout, one per weak order.
 
@@ -115,31 +114,12 @@ def correspondence_types_from_weak_orders(
     of nonempty problems are nonempty, so these types never select the
     empty-set element.
     """
-    return _types_from_rankings(weak_orders(universe.size), universe, problems, lifted)
-
-
-def correspondence_types_from_linear_orders(
-    universe: ChoiceUniverse,
-    problems: Sequence[ChoiceProblem],
-    lifted: "LiftedLayout",
-) -> RationalTypeSet:
-    """Singleton-forcing lifted types: linear orders have one maximizer per block."""
-    rankings = (tuple((alt,) for alt in order) for order in linear_orders(universe.size))
-    return _types_from_rankings(rankings, universe, problems, lifted)
-
-
-def _types_from_rankings(
-    rankings: Iterable[tuple[tuple[int, ...], ...]],
-    universe: ChoiceUniverse,
-    problems: Sequence[ChoiceProblem],
-    lifted: "LiftedLayout",
-) -> RationalTypeSet:
     if lifted.base_universe != universe or lifted.base_problems != tuple(problems):
         raise ValidationError(
             "lifted layout was not built from the given universe and problems"
         )
     patterns = set()
-    for classes in rankings:
+    for classes in weak_orders(universe.size):
         chosen = []
         for j, problem in enumerate(problems):
             members = set(problem.members)
@@ -153,3 +133,11 @@ def _types_from_rankings(
         patterns.add(tuple(chosen))
     return make_type_set(map(ChoiceTypeVector, patterns), lifted.layout)
 
+
+def correspondence_types_from_linear_orders(
+    universe: ChoiceUniverse,
+    problems: Sequence[ChoiceProblem],
+    lifted: LiftedLayout,
+) -> RationalTypeSet:
+    """Singleton-forcing lifted types: linear orders have one maximizer per block."""
+    return singleton_types(types_from_linear_orders(build_layout(universe, problems)), lifted)

@@ -72,9 +72,10 @@ def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     Returns the nonzero rows and their pivot columns. Each row is the
     rational RREF row times one common nonzero pivot d (the last pivot
     entry, a signed minor of the input), so every pivot entry equals d.
-    Rows are updated with ``bareiss_row``; divisions are exact.
+    Rows are updated with ``bareiss_row``; divisions are exact. A row that
+    is all zero stays so, and is dropped rather than updated again.
     """
-    mat = [list(r) for r in rows]
+    mat = [list(r) for r in rows if any(r)]
     pivots: list[int] = []
     rank = 0
     divisor = 1
@@ -91,6 +92,7 @@ def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         divisor = pivot
         pivots.append(col)
         rank += 1
+        mat[rank:] = [row for row in mat[rank:] if any(row)]
     return mat[:rank], pivots
 
 

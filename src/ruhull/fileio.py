@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
@@ -47,10 +46,10 @@ from .lifting import (
     lift_layout,
     lift_set_valued_data,
     singleton_choice_data,
+    singleton_types,
 )
 from .model import (
     ChoiceProblem,
-    ChoiceTypeVector,
     ChoiceUniverse,
     IndexLayout,
     RationalTypeSet,
@@ -58,7 +57,6 @@ from .model import (
     Trial,
     build_layout,
     inner,
-    make_type_set,
     make_type_vector,
     max_over_types,
     problem_from_labels,
@@ -111,11 +109,14 @@ class Instance:
 
     universe: ChoiceUniverse
     problems: tuple[ChoiceProblem, ...]
-    set_valued: bool
     lifted: LiftedLayout | None
     pi: StochasticChoiceVector
     type_set: RationalTypeSet
     digest: str
+
+    @property
+    def set_valued(self) -> bool:
+        return self.lifted is not None
 
     @property
     def layout(self) -> IndexLayout:
@@ -208,25 +209,32 @@ def parse_instance_dict(obj: Any, source: str = "instance") -> Instance:
             raise InstanceParseError(str(exc), loc)
     problems = tuple(problems)
 
+    raw_probs, where = obj["probabilities"], f"{source}.probabilities"
     if set_valued:
-        return _parse_set_valued(obj, universe, problems, source)
-    return _parse_singleton(obj, universe, problems, source)
+        lifted = lift_layout(universe, problems)
+        pi, probs_canon = _parse_set_valued(raw_probs, where, lifted)
+    else:
+        lifted = None
+        pi, probs_canon = _parse_singleton(raw_probs, where, build_layout(universe, problems))
+    types_canon, type_set = _parse_types(obj["types"], f"{source}.types", pi.layout, lifted)
+    digest = _digest(
+        _canonical_tree(universe, problems, set_valued, probs_canon, types_canon)
+    )
+    return Instance(universe, problems, lifted, pi, type_set, digest)
 
 
 def _parse_singleton(
-    obj: dict, universe: ChoiceUniverse, problems: tuple[ChoiceProblem, ...], source: str
-) -> Instance:
-    layout = build_layout(universe, problems)
-    raw_probs = obj["probabilities"]
+    raw_probs: Any, location: str, layout: IndexLayout
+) -> tuple[StochasticChoiceVector, list[list[str]]]:
+    problems = layout.problems
     if not isinstance(raw_probs, list) or len(raw_probs) != len(problems):
         raise InstanceParseError(
-            f"expected one probability list per problem ({len(problems)})",
-            f"{source}.probabilities",
+            f"expected one probability list per problem ({len(problems)})", location
         )
     values: list[Fraction] = []
     canon: list[list[str]] = []
     for j, row in enumerate(raw_probs):
-        loc = f"{source}.probabilities[{j}]"
+        loc = f"{location}[{j}]"
         if not isinstance(row, list) or len(row) != problems[j].size:
             raise InstanceParseError(
                 f"expected {problems[j].size} entries aligned with problem {j}", loc
@@ -235,42 +243,23 @@ def _parse_singleton(
         values.extend(parsed)
         canon.append([str(v) for v in parsed])
     try:
-        pi = validate_pi(values, layout)
+        return validate_pi(values, layout), canon
     except ValidationError as exc:
-        raise InstanceParseError(str(exc), f"{source}.probabilities")
-
-    types_spec, type_set = _parse_types(
-        obj["types"], f"{source}.types", layout, set_valued=False,
-        universe=universe, problems=problems, lifted=None,
-    )
-    digest = _digest(
-        _canonical_tree(universe, problems, False, canon, types_spec)
-    )
-    return Instance(
-        universe=universe,
-        problems=problems,
-        set_valued=False,
-        lifted=None,
-        pi=pi,
-        type_set=type_set,
-        digest=digest,
-    )
+        raise InstanceParseError(str(exc), location)
 
 
 def _parse_set_valued(
-    obj: dict, universe: ChoiceUniverse, problems: tuple[ChoiceProblem, ...], source: str
-) -> Instance:
-    lifted = lift_layout(universe, problems)
-    raw_probs = obj["probabilities"]
+    raw_probs: Any, location: str, lifted: LiftedLayout
+) -> tuple[StochasticChoiceVector, list[dict[str, str]]]:
+    universe, problems = lifted.base_universe, lifted.base_problems
     if not isinstance(raw_probs, list) or len(raw_probs) != len(problems):
         raise InstanceParseError(
-            f"expected one subset map per problem ({len(problems)})",
-            f"{source}.probabilities",
+            f"expected one subset map per problem ({len(problems)})", location
         )
     observations = []
     canon: list[dict[str, str]] = []
     for j, mapping in enumerate(raw_probs):
-        loc = f"{source}.probabilities[{j}]"
+        loc = f"{location}[{j}]"
         if not isinstance(mapping, dict):
             raise InstanceParseError(
                 "set-valued instances map subsets to probabilities", loc
@@ -301,47 +290,28 @@ def _parse_set_valued(
         observations.append({labels: v for labels, v in per_problem.values()})
         canon.append(dict(sorted(canon_row.items())))
     try:
-        pi = lift_set_valued_data(observations, lifted)
+        return lift_set_valued_data(observations, lifted), canon
     except ValidationError as exc:
-        raise InstanceParseError(str(exc), f"{source}.probabilities")
-
-    types_spec, type_set = _parse_types(
-        obj["types"], f"{source}.types", lifted.layout, set_valued=True,
-        universe=universe, problems=problems, lifted=lifted,
-    )
-    digest = _digest(_canonical_tree(universe, problems, True, canon, types_spec))
-    return Instance(
-        universe=universe,
-        problems=problems,
-        set_valued=True,
-        lifted=lifted,
-        pi=pi,
-        type_set=type_set,
-        digest=digest,
-    )
+        raise InstanceParseError(str(exc), location)
 
 
 def _parse_types(
-    raw: Any,
-    location: str,
-    layout: IndexLayout,
-    set_valued: bool,
-    universe: ChoiceUniverse,
-    problems: tuple[ChoiceProblem, ...],
-    lifted: LiftedLayout | None,
+    raw: Any, location: str, layout: IndexLayout, lifted: LiftedLayout | None
 ) -> tuple[Any, RationalTypeSet]:
     if raw == "linear-orders":
-        if set_valued:
-            assert lifted is not None
-            return raw, correspondence_types_from_linear_orders(universe, problems, lifted)
-        return raw, types_from_linear_orders(layout)
+        if lifted is None:
+            return raw, types_from_linear_orders(layout)
+        return raw, correspondence_types_from_linear_orders(
+            lifted.base_universe, lifted.base_problems, lifted
+        )
     if raw == "weak-orders":
-        if not set_valued:
+        if lifted is None:
             raise InstanceParseError(
                 '"weak-orders" types require a set-valued instance', location
             )
-        assert lifted is not None
-        return raw, correspondence_types_from_weak_orders(universe, problems, lifted)
+        return raw, correspondence_types_from_weak_orders(
+            lifted.base_universe, lifted.base_problems, lifted
+        )
     if isinstance(raw, str):
         raise InstanceParseError(
             f'unknown types keyword {raw!r}; use "linear-orders", "weak-orders" '
@@ -371,20 +341,11 @@ def load_instance(path: str) -> Instance:
 
 def lifted_view(instance: Instance) -> tuple[LiftedLayout, StochasticChoiceVector, RationalTypeSet]:
     """The instance re-expressed on the lifted layout (identity if set-valued)."""
-    if instance.set_valued:
-        assert instance.lifted is not None
+    if instance.lifted is not None:
         return instance.lifted, instance.pi, instance.type_set
     lifted = lift_layout(instance.universe, instance.problems)
     pi = singleton_choice_data(instance.pi, lifted)
-    layout = instance.layout
-    types = []
-    for t in instance.type_set.types:
-        chosen = []
-        for j, c in enumerate(t.chosen):
-            member = layout.problems[j].members[c - layout.block_offsets[j]]
-            chosen.append(lifted.coordinate_for_subset(j, (member,)))
-        types.append(ChoiceTypeVector(tuple(chosen)))
-    return lifted, pi, make_type_set(types, lifted.layout)
+    return lifted, pi, singleton_types(instance.type_set, lifted)
 
 
 @dataclass(frozen=True)
@@ -396,8 +357,10 @@ class ResultReport:
     flags: dict
     outcome: CheckOutcome
     restricted_holds: bool | None
-    lifted_used: bool
-    elapsed_seconds: float
+
+    @property
+    def lifted_used(self) -> bool:
+        return self.instance.set_valued or self.flags["restricted_arsp"]
 
     @property
     def verdict(self) -> str:
@@ -497,26 +460,18 @@ def run_check(
     restricted: bool = False,
 ) -> ResultReport:
     """Decide rationalizability end to end; optionally also the restricted axiom."""
-    start = time.monotonic()
     restricted_holds: bool | None = None
-    lifted_used = instance.set_valued or restricted
     if restricted:
         lifted, pi, type_set = lifted_view(instance)
         restricted_holds = check_restricted_arsp(pi, type_set, lifted)
-        outcome = decide(pi, type_set, mode)
-        layout = lifted.layout
     else:
-        outcome = decide(instance.pi, instance.type_set, mode)
-        layout = instance.layout
-    elapsed = time.monotonic() - start
+        pi, type_set = instance.pi, instance.type_set
     return ResultReport(
         instance=instance,
-        layout=layout,
+        layout=pi.layout,
         flags={"mode": mode, "restricted_arsp": restricted},
-        outcome=outcome,
+        outcome=decide(pi, type_set, mode),
         restricted_holds=restricted_holds,
-        lifted_used=lifted_used,
-        elapsed_seconds=elapsed,
     )
 
 
@@ -540,15 +495,13 @@ def run_verify(instance: Instance, report: Any) -> tuple[bool, list[str]]:
     lifted_used = report.get("lifted", False)
     if not isinstance(lifted_used, bool):
         return False, ["the lifted flag is not a boolean"]
-    if lifted_used and not instance.set_valued:
+    if lifted_used:
         try:
             lifted, pi, type_set = lifted_view(instance)
         except CapExceeded as exc:
             return False, [f"the report claims a lifted layout: {exc}"]
     else:
-        lifted = instance.lifted
-        pi = instance.pi
-        type_set = instance.type_set
+        lifted, pi, type_set = instance.lifted, instance.pi, instance.type_set
 
     verdict = report.get("verdict")
     if verdict == "rationalizable":
@@ -727,15 +680,9 @@ def lifted_instance_tree(instance: Instance) -> dict:
     """The lifted instance as a plain (singleton-choice) instance tree."""
     lifted, pi, type_set = lifted_view(instance)
     layout = lifted.layout
-    probabilities = []
-    for j in range(layout.problem_count):
-        probabilities.append([str(pi.values[i]) for i in layout.block_range(j)])
-    return {
-        "universe": list(layout.universe.labels),
-        "problems": [
-            [layout.universe.labels[m] for m in p.members] for p in layout.problems
-        ],
-        "probabilities": probabilities,
-        "types": [list(type_bits(t, layout)) for t in type_set.types],
-        "set_valued": False,
-    }
+    probabilities = [
+        [str(pi.values[i]) for i in layout.block_range(j)]
+        for j in range(layout.problem_count)
+    ]
+    types = [list(type_bits(t, layout)) for t in type_set.types]
+    return _canonical_tree(layout.universe, layout.problems, False, probabilities, types)

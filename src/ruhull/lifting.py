@@ -5,7 +5,10 @@ power set. Lifting replaces the universe by all subsets of the base universe
 and each problem by the set of its subsets (the empty set included in both),
 after which the ordinary membership machinery applies unchanged. Whether
 empty or non-singleton choices are admissible is a property of the supplied
-type set, never of the layout.
+type set, never of the layout. Singleton choice is the special case where
+every observation and every type picks a singleton:
+``singleton_choice_data`` and ``singleton_types`` carry ordinary data and
+types onto the lifted layout.
 
 Also provided is the weaker, historically used trial family that may only
 query "a set together with all its subsets" inside one problem, and an exact
@@ -25,6 +28,7 @@ from .errors import CapExceeded, LayoutMismatch, ValidationError
 from .exactlp import FeasiblePoint, solve_equality_feasibility
 from .model import (
     ChoiceProblem,
+    ChoiceTypeVector,
     ChoiceUniverse,
     IndexLayout,
     Rational,
@@ -33,6 +37,7 @@ from .model import (
     Trial,
     build_layout,
     inner,
+    make_type_set,
     to_rational,
     validate_pi,
 )
@@ -163,6 +168,23 @@ def singleton_choice_data(
             coord = lifted.coordinate_for_subset(j, (member,))
             values[coord] = pi.values[base_layout.block_offsets[j] + pos]
     return validate_pi(values, lifted.layout)
+
+
+def singleton_types(type_set: RationalTypeSet, lifted: LiftedLayout) -> RationalTypeSet:
+    """Re-express ordinary choice types on the lifted layout: each pick as its singleton."""
+    base_layout = type_set.layout
+    if base_layout != build_layout(lifted.base_universe, lifted.base_problems):
+        raise LayoutMismatch("types do not match the lifted layout's base")
+    lifted_coordinate = [
+        lifted.coordinate_for_subset(j, (member,))
+        for j, problem in enumerate(base_layout.problems)
+        for member in problem.members
+    ]
+    types = (
+        ChoiceTypeVector(tuple(lifted_coordinate[c] for c in t.chosen))
+        for t in type_set.types
+    )
+    return make_type_set(types, lifted.layout)
 
 
 def restricted_trials(lifted: LiftedLayout) -> tuple[Trial, ...]:

@@ -141,6 +141,26 @@ class TestRowReduction:
         assert facets._rref([]) == ([], [])
         assert facets._rref([[0, 0], [0, 0]]) == ([], [])
 
+    def test_zero_rows_are_never_updated(self, monkeypatch):
+        # On the 5-alternative pairwise hull most vertex differences reduce
+        # to zero; once a row is all zero, no further elimination touches it.
+        pairs = [(x, y) for i, x in enumerate("abcde") for y in "abcde"[i + 1:]]
+        _, _, layout = make_instance("abcde", pairs)
+        ts = types_from_linear_orders(layout)
+        kernel = facets._kernels.bareiss_row
+        zero_rows = []
+
+        def counting(row, *args):
+            if not any(row):
+                zero_rows.append(list(row))
+            return kernel(row, *args)
+
+        monkeypatch.setattr(facets._kernels, "bareiss_row", counting)
+        hrep = enumerate_facets(ts)
+        assert zero_rows == []
+        assert hrep.dimension == 10
+        assert len(hrep.facets) == 40
+
 
 class TestPairwiseThreeFacets:
     def test_matches_independent_hyperplane_enumeration(self, pairwise3, pairwise3_hrep):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ruhull import (
     CapExceeded,
+    LayoutMismatch,
     MixingDistribution,
     SeparatingVector,
     ValidationError,
@@ -20,6 +22,7 @@ from ruhull import (
     parse_instance,
     restricted_trials,
     singleton_choice_data,
+    singleton_types,
     type_bits,
     types_from_linear_orders,
     validate_pi,
@@ -173,7 +176,10 @@ class TestSingletonRecovery:
     @given(st.integers(0, 10**6))
     def test_lifting_preserves_the_verdict(self, seed):
         # Singleton-valued data with singleton-forcing lifted types must agree
-        # with the plain (unlifted) decision.
+        # with the plain (unlifted) decision. So must the restricted axiom:
+        # on data and types that pick singletons, the restricted query for S
+        # counts exactly the singletons inside S, so every query of the base
+        # axiom is available; it is weaker only for set-valued choice.
         rng = seeded(seed)
         universe, problems, layout = random_small_instance(
             rng, max_universe=3, max_problems=3
@@ -191,6 +197,13 @@ class TestSingletonRecovery:
             membership.test_membership(lifted_pi, lifted_ts), MixingDistribution
         )
         assert base_verdict == lifted_verdict
+        assert check_restricted_arsp(lifted_pi, lifted_ts, lifted) == base_verdict
+
+    def test_types_must_be_on_the_base_layout(self):
+        universe, problems, layout = make_instance("abc", [("a", "b"), ("b", "c")])
+        other = lift_layout(universe, problems[:1])
+        with pytest.raises(LayoutMismatch, match="base"):
+            singleton_types(types_from_linear_orders(layout), other)
 
 
 class TestLiftedView:
@@ -217,17 +230,24 @@ class TestLiftedView:
             ))
         return out
 
-    def test_linear_orders_match_the_correspondence_types(self):
+    def test_linear_orders_match_a_brute_force(self):
+        # Each order picks, in every problem, the singleton of its best member.
         rng = seeded(11)
         for _ in range(40):
             universe, problems, _ = random_small_instance(rng)
+            expected = {
+                tuple((min(p.members, key=order.index),) for p in problems)
+                for order in permutations(range(universe.size))
+            }
             lifted, _, type_set = lifted_view(
                 self.instance(universe, problems, "linear-orders")
             )
-            expected = correspondence_types_from_linear_orders(
+            correspondence = correspondence_types_from_linear_orders(
                 universe, problems, lifted
             )
-            assert type_set == expected
+            for lifted_types in (type_set, correspondence):
+                assert len(lifted_types) == len(expected)
+                assert self.chosen_subsets(lifted, lifted_types) == expected
 
     def test_explicit_rows_map_to_singletons(self):
         rng = seeded(12)
