@@ -9,6 +9,10 @@ Three sources of admissible types are supported:
 
 Enumeration is deterministic: identical inputs always produce the identical
 canonical type set. Hard caps keep the combinatorics at desk scale.
+
+``LinearOrderOracle`` answers the two questions a report's witness puts to
+the linear-order types, whether a pattern is one and what a functional's
+best value over them is, without listing them.
 """
 
 from __future__ import annotations
@@ -17,15 +21,15 @@ import math
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceeded, ValidationError
+from .errors import CapExceeded, LayoutMismatch, ValidationError
 from .lifting import LiftedLayout, singleton_types
 from .model import (
     ChoiceProblem,
     ChoiceTypeVector,
     ChoiceUniverse,
     IndexLayout,
+    Rational,
     RationalTypeSet,
-    build_layout,
     make_type_set,
 )
 
@@ -114,10 +118,7 @@ def correspondence_types_from_weak_orders(
     of nonempty problems are nonempty, so these types never select the
     empty-set element.
     """
-    if lifted.base_universe != universe or lifted.base_problems != tuple(problems):
-        raise ValidationError(
-            "lifted layout was not built from the given universe and problems"
-        )
+    _check_base(universe, problems, lifted)
     patterns = set()
     for classes in weak_orders(universe.size):
         chosen = []
@@ -140,4 +141,106 @@ def correspondence_types_from_linear_orders(
     lifted: LiftedLayout,
 ) -> RationalTypeSet:
     """Singleton-forcing lifted types: linear orders have one maximizer per block."""
-    return singleton_types(types_from_linear_orders(build_layout(universe, problems)), lifted)
+    _check_base(universe, problems, lifted)
+    return singleton_types(types_from_linear_orders(lifted.base_layout), lifted)
+
+
+def _check_base(
+    universe: ChoiceUniverse, problems: Sequence[ChoiceProblem], lifted: LiftedLayout
+) -> None:
+    if lifted.base_universe != universe or lifted.base_problems != tuple(problems):
+        raise ValidationError(
+            "lifted layout was not built from the given universe and problems"
+        )
+
+
+class LinearOrderOracle:
+    """The linear-order types of a layout, decided without listing the orders.
+
+    A pattern of picks is such a type iff its revealed relation (the pick of
+    each problem ranked above every other member) is acyclic, which a
+    topological sort decides in O(sum |P|). The best value of a functional y
+    over the types is a dynamic program over the set S of alternatives
+    ranked first, as in Held and Karp (1962): ranking x next collects
+    y[P, x] in every problem P that contains x and misses S, so with
+    f(empty) = 0
+
+        f(S | {x}) = max over such S, x of  f(S) + sum of those y[P, x],
+
+    and the best value is f(universe), found in O(2^n sum |P|) exact
+    additions. On a lifted layout the types are the singleton-forcing ones:
+    every pick is the singleton of a base pick, and y is read on those
+    singletons.
+    """
+
+    def __init__(self, layout: IndexLayout | LiftedLayout):
+        if isinstance(layout, LiftedLayout):
+            self.layout, base = layout.layout, layout.base_layout
+            self._type_coordinate = layout.singleton_coordinates
+        else:
+            self.layout = base = layout
+            self._type_coordinate = range(layout.coordinate_count)
+        self._size = base.universe.size
+        self._problems = base.problems
+        # Per base coordinate: the alternative it picks and its problem as a bit mask.
+        self._member = [m for p in base.problems for m in p.members]
+        self._mask = [
+            sum(1 << m for m in p.members) for p in base.problems for _ in p.members
+        ]
+        self._base_coordinate = {c: b for b, c in enumerate(self._type_coordinate)}
+        self._block = base.coordinate_blocks
+
+    def admits(self, t: ChoiceTypeVector) -> bool:
+        """Whether some linear order picks ``t.chosen[j]`` in every problem j."""
+        if len(t.chosen) != len(self._problems):
+            return False
+        below: list[list[int]] = [[] for _ in range(self._size)]
+        above_count = [0] * self._size
+        for j, c in enumerate(t.chosen):
+            b = self._base_coordinate.get(c)
+            if b is None or self._block[b] != j:
+                return False
+            best = self._member[b]
+            for m in self._problems[j].members:
+                if m != best:
+                    below[best].append(m)
+                    above_count[m] += 1
+        ready = [a for a in range(self._size) if not above_count[a]]
+        ranked = 0
+        while ready:
+            a = ready.pop()
+            ranked += 1
+            for m in below[a]:
+                above_count[m] -= 1
+                if not above_count[m]:
+                    ready.append(m)
+        return ranked == self._size
+
+    def best_value(self, y: Sequence[Rational]) -> Rational:
+        """max over the types R of inner(y, R), exactly; equals max_over_types's value."""
+        if len(y) != self.layout.coordinate_count:
+            raise LayoutMismatch(
+                f"vector length {len(y)} does not match layout "
+                f"({self.layout.coordinate_count} coordinates)"
+            )
+        gains: list[list[tuple[int, Rational]]] = [[] for _ in range(self._size)]
+        for b, c in enumerate(self._type_coordinate):
+            if y[c]:
+                gains[self._member[b]].append((self._mask[b], y[c]))
+        states = 1 << self._size
+        best: list[Rational | None] = [None] * states
+        best[0] = 0
+        for ranked in range(states - 1):
+            base_value = best[ranked]
+            for x, collected in enumerate(gains):
+                bit = 1 << x
+                if ranked & bit:
+                    continue
+                value = base_value
+                for mask, weight in collected:
+                    if not mask & ranked:
+                        value += weight
+                grown = ranked | bit
+                if best[grown] is None or value > best[grown]:
+                    best[grown] = value
+        return best[states - 1]

@@ -30,14 +30,18 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 from .certificate import CheckOutcome, decide, integerize, positivize
 from .enumeration import (
+    LinearOrderOracle,
     correspondence_types_from_linear_orders,
     correspondence_types_from_weak_orders,
+    linear_orders,
     types_from_explicit,
     types_from_linear_orders,
+    weak_orders,
 )
 from .errors import CapExceeded, InstanceParseError, ValidationError
 from .lifting import (
@@ -50,8 +54,10 @@ from .lifting import (
 )
 from .model import (
     ChoiceProblem,
+    ChoiceTypeVector,
     ChoiceUniverse,
     IndexLayout,
+    Rational,
     RationalTypeSet,
     StochasticChoiceVector,
     Trial,
@@ -103,7 +109,9 @@ class Instance:
     """A parsed, validated instance with its effective layout and type set.
 
     For set-valued instances the effective data and types live on the lifted
-    layout; otherwise on the base layout. ``digest`` is a sha256 over the
+    layout; otherwise on the base layout. ``types`` is "linear-orders",
+    "weak-orders" or the explicit type set; a keyword's types are enumerated
+    on the first use of ``type_set``. ``digest`` is a sha256 over the
     canonicalized instance tree.
     """
 
@@ -111,8 +119,23 @@ class Instance:
     problems: tuple[ChoiceProblem, ...]
     lifted: LiftedLayout | None
     pi: StochasticChoiceVector
-    type_set: RationalTypeSet
+    types: str | RationalTypeSet
     digest: str
+
+    @cached_property
+    def type_set(self) -> RationalTypeSet:
+        """The admissible types on the effective layout."""
+        if isinstance(self.types, RationalTypeSet):
+            return self.types
+        lifted = self.lifted
+        if lifted is None:
+            return types_from_linear_orders(self.layout)
+        build = (
+            correspondence_types_from_linear_orders
+            if self.types == "linear-orders"
+            else correspondence_types_from_weak_orders
+        )
+        return build(lifted.base_universe, lifted.base_problems, lifted)
 
     @property
     def set_valued(self) -> bool:
@@ -216,11 +239,11 @@ def parse_instance_dict(obj: Any, source: str = "instance") -> Instance:
     else:
         lifted = None
         pi, probs_canon = _parse_singleton(raw_probs, where, build_layout(universe, problems))
-    types_canon, type_set = _parse_types(obj["types"], f"{source}.types", pi.layout, lifted)
+    types_canon, types = _parse_types(obj["types"], f"{source}.types", pi.layout, lifted)
     digest = _digest(
         _canonical_tree(universe, problems, set_valued, probs_canon, types_canon)
     )
-    return Instance(universe, problems, lifted, pi, type_set, digest)
+    return Instance(universe, problems, lifted, pi, types, digest)
 
 
 def _parse_singleton(
@@ -297,21 +320,20 @@ def _parse_set_valued(
 
 def _parse_types(
     raw: Any, location: str, layout: IndexLayout, lifted: LiftedLayout | None
-) -> tuple[Any, RationalTypeSet]:
+) -> tuple[Any, str | RationalTypeSet]:
+    """(canonical tree, ``Instance.types``); a keyword is checked against its
+    enumeration cap here and enumerated only when ``type_set`` is first used."""
+    size = layout.universe.size if lifted is None else lifted.base_universe.size
     if raw == "linear-orders":
-        if lifted is None:
-            return raw, types_from_linear_orders(layout)
-        return raw, correspondence_types_from_linear_orders(
-            lifted.base_universe, lifted.base_problems, lifted
-        )
+        linear_orders(size)  # raises past the cap, before yielding anything
+        return raw, raw
     if raw == "weak-orders":
         if lifted is None:
             raise InstanceParseError(
                 '"weak-orders" types require a set-valued instance', location
             )
-        return raw, correspondence_types_from_weak_orders(
-            lifted.base_universe, lifted.base_problems, lifted
-        )
+        weak_orders(size)
+        return raw, raw
     if isinstance(raw, str):
         raise InstanceParseError(
             f'unknown types keyword {raw!r}; use "linear-orders", "weak-orders" '
@@ -341,11 +363,39 @@ def load_instance(path: str) -> Instance:
 
 def lifted_view(instance: Instance) -> tuple[LiftedLayout, StochasticChoiceVector, RationalTypeSet]:
     """The instance re-expressed on the lifted layout (identity if set-valued)."""
+    lifted, pi = _lift(instance)
+    return lifted, pi, _types_on(instance, lifted)
+
+
+def _lift(instance: Instance) -> tuple[LiftedLayout, StochasticChoiceVector]:
+    """The lifted layout and data of ``lifted_view``, without the type set."""
     if instance.lifted is not None:
-        return instance.lifted, instance.pi, instance.type_set
+        return instance.lifted, instance.pi
     lifted = lift_layout(instance.universe, instance.problems)
-    pi = singleton_choice_data(instance.pi, lifted)
-    return lifted, pi, singleton_types(instance.type_set, lifted)
+    return lifted, singleton_choice_data(instance.pi, lifted)
+
+
+def _types_on(instance: Instance, lifted: LiftedLayout | None) -> RationalTypeSet:
+    """The instance's type set on its own layout, or on ``lifted`` when that is its lift."""
+    if lifted is instance.lifted:
+        return instance.type_set
+    return singleton_types(instance.type_set, lifted)
+
+
+def _type_checks(
+    instance: Instance, lifted: LiftedLayout | None
+) -> tuple[Callable[[ChoiceTypeVector], bool], Callable[[Sequence[int]], Rational]]:
+    """(is a type admissible, best value of a functional over the types) on
+    the layout a report used: the instance's own, or ``lifted``.
+
+    Linear orders are decided by ``LinearOrderOracle`` without enumerating
+    them; other type sets by lookup in, and a scan of, the listed types.
+    """
+    if instance.types == "linear-orders":
+        oracle = LinearOrderOracle(instance.layout if lifted is None else lifted)
+        return oracle.admits, oracle.best_value
+    type_set = _types_on(instance, lifted)
+    return set(type_set.types).__contains__, lambda y: max_over_types(y, type_set)[0]
 
 
 @dataclass(frozen=True)
@@ -460,17 +510,27 @@ def run_check(
     restricted: bool = False,
 ) -> ResultReport:
     """Decide rationalizability end to end; optionally also the restricted axiom."""
-    restricted_holds: bool | None = None
     if restricted:
         lifted, pi, type_set = lifted_view(instance)
-        restricted_holds = check_restricted_arsp(pi, type_set, lifted)
     else:
         pi, type_set = instance.pi, instance.type_set
+    outcome = decide(pi, type_set, mode)
+    restricted_holds: bool | None = None
+    if restricted:
+        # On singleton data the data and every type pick singletons, so the
+        # restricted query for S counts exactly what the base query for S
+        # counts: the restricted axiom is the full one. Only set-valued data
+        # needs the restricted LP.
+        restricted_holds = (
+            outcome.rationalizable
+            if instance.lifted is None
+            else check_restricted_arsp(pi, type_set, lifted)
+        )
     return ResultReport(
         instance=instance,
         layout=pi.layout,
         flags={"mode": mode, "restricted_arsp": restricted},
-        outcome=decide(pi, type_set, mode),
+        outcome=outcome,
         restricted_holds=restricted_holds,
     )
 
@@ -497,17 +557,18 @@ def run_verify(instance: Instance, report: Any) -> tuple[bool, list[str]]:
         return False, ["the lifted flag is not a boolean"]
     if lifted_used:
         try:
-            lifted, pi, type_set = lifted_view(instance)
+            lifted, pi = _lift(instance)
         except CapExceeded as exc:
             return False, [f"the report claims a lifted layout: {exc}"]
     else:
-        lifted, pi, type_set = instance.lifted, instance.pi, instance.type_set
+        lifted, pi = instance.lifted, instance.pi
+    admits, best_value = _type_checks(instance, lifted)
 
     verdict = report.get("verdict")
     if verdict == "rationalizable":
-        failures = _verify_mixture(report.get("mixture"), pi, type_set)
+        failures = _verify_mixture(report.get("mixture"), pi, admits)
     elif verdict == "not-rationalizable":
-        failures = _verify_certificate(report.get("certificate"), pi, type_set)
+        failures = _verify_certificate(report.get("certificate"), pi, best_value)
     else:
         return False, [f"unknown verdict {_show(verdict, repr)}"]
 
@@ -518,7 +579,12 @@ def run_verify(instance: Instance, report: Any) -> tuple[bool, list[str]]:
         elif not isinstance(claim, dict) or not isinstance(claim.get("holds"), bool):
             failures.append("restricted-axiom claim is not {\"holds\": true|false}")
         else:
-            actual = check_restricted_arsp(pi, type_set, lifted)
+            # Singleton data: the restricted axiom is the full one (see run_check).
+            actual = (
+                verdict == "rationalizable"
+                if instance.lifted is None
+                else check_restricted_arsp(pi, instance.type_set, lifted)
+            )
             if actual != claim["holds"]:
                 failures.append(
                     f"restricted axiom recomputes to {actual}, report claims {claim['holds']}"
@@ -553,7 +619,7 @@ def _ints(value: Any) -> tuple[int, ...]:
 
 
 def _verify_mixture(
-    mixture: Any, pi: StochasticChoiceVector, type_set: RationalTypeSet
+    mixture: Any, pi: StochasticChoiceVector, admits: Callable[[ChoiceTypeVector], bool]
 ) -> list[str]:
     if not isinstance(mixture, dict) or not isinstance(
         mixture.get("weights"), (list, tuple)
@@ -562,7 +628,6 @@ def _verify_mixture(
     failures: list[str] = []
     total = Fraction(0)
     combined = [Fraction(0)] * pi.layout.coordinate_count
-    known = set(type_set.types)
     for k, item in enumerate(mixture["weights"]):
         if not isinstance(item, dict):
             failures.append(f"mixture entry {k}: not an object")
@@ -577,7 +642,7 @@ def _verify_mixture(
         except (KeyError, ValueError):
             failures.append(f"mixture entry {k}: malformed type")
             continue
-        if typ not in known:
+        if not admits(typ):
             failures.append(f"mixture entry {k}: type is not in the admissible set")
             continue
         if weight <= 0:
@@ -595,7 +660,9 @@ def _verify_mixture(
 
 
 def _verify_certificate(
-    cert: Any, pi: StochasticChoiceVector, type_set: RationalTypeSet
+    cert: Any,
+    pi: StochasticChoiceVector,
+    best_value: Callable[[Sequence[int]], Rational],
 ) -> list[str]:
     if not isinstance(cert, dict):
         return ["non-rationalizable report lacks a certificate"]
@@ -619,8 +686,7 @@ def _verify_certificate(
         return ["certificate separating vector has the wrong length"]
 
     failures: list[str] = []
-    best, _ = max_over_types(separating, type_set)
-    gap = inner(separating, pi.values) - best
+    gap = inner(separating, pi.values) - best_value(separating)
     if gap != claimed_gap:
         failures.append(
             f"separating gap is {_show(gap)}, report claims {_show(claimed_gap)}"
@@ -633,6 +699,7 @@ def _verify_certificate(
     if integerize(positivized) != aggregate:
         failures.append("integer aggregate does not match the pipeline")
 
+    blocks, labels = layout.coordinate_blocks, layout.coordinate_labels
     rebuilt = [0] * n
     for k, item in enumerate(trial_items):
         try:
@@ -640,22 +707,22 @@ def _verify_certificate(
                 raise ValueError
             problem = item["problem"] - 1
             coords = [c - 1 for c in _ints(item["coordinates"])]
-            members = [str(x) for x in item.get("members", ())]
+            members = list(map(str, item.get("members", ())))
         except (KeyError, ValueError, TypeError):
             failures.append(f"trial {k}: malformed")
             continue
-        if not coords or not all(0 <= c < n for c in coords):
+        if not coords or min(coords) < 0 or max(coords) >= n:
             failures.append(f"trial {k}: coordinates out of range")
             continue
         if len(set(coords)) != len(coords):
             failures.append(f"trial {k}: a coordinate is repeated")
             continue
-        if {layout.block_of(c) for c in coords} != {problem}:
+        if set(map(blocks.__getitem__, coords)) != {problem}:
             failures.append(
                 f"trial {k}: support is not inside problem {_show(problem + 1)}"
             )
             continue
-        if members and members != [layout.coordinate_info(c)[1] for c in coords]:
+        if members and members != list(map(labels.__getitem__, coords)):
             failures.append(f"trial {k}: member labels disagree with coordinates")
             continue
         for c in coords:
@@ -666,7 +733,7 @@ def _verify_certificate(
         failures.append("certificate contains no trials")
         return failures
     check_lhs = inner(rebuilt, pi.values)
-    check_rhs, _ = max_over_types(rebuilt, type_set)
+    check_rhs = best_value(rebuilt)
     if check_lhs != lhs:
         failures.append(f"lhs is {_show(check_lhs)}, report claims {_show(lhs)}")
     if check_rhs != rhs:

@@ -67,6 +67,21 @@ class LiftedLayout:
                 table[(j, self.subsets[member])] = start + pos
         return table
 
+    @cached_property
+    def base_layout(self) -> IndexLayout:
+        """The layout of the base instance."""
+        return build_layout(self.base_universe, self.base_problems)
+
+    @cached_property
+    def singleton_coordinates(self) -> tuple[int, ...]:
+        """For each base coordinate, the lifted coordinate of its singleton."""
+        table = self._subset_coordinates
+        return tuple(
+            table[(j, (member,))]
+            for j, problem in enumerate(self.base_problems)
+            for member in problem.members
+        )
+
     def coordinate_for_subset(self, problem_index: int, subset: tuple[int, ...]) -> int:
         """Coordinate of a subset inside a lifted block; raises if not a subset."""
         try:
@@ -159,27 +174,19 @@ def singleton_choice_data(
     pi: StochasticChoiceVector, lifted: LiftedLayout
 ) -> StochasticChoiceVector:
     """Re-express ordinary singleton choice data on the lifted layout."""
-    base_layout = build_layout(lifted.base_universe, lifted.base_problems)
-    if pi.layout != base_layout:
+    if pi.layout != lifted.base_layout:
         raise LayoutMismatch("choice data does not match the lifted layout's base")
     values = [Fraction(0)] * lifted.layout.coordinate_count
-    for j, problem in enumerate(lifted.base_problems):
-        for pos, member in enumerate(problem.members):
-            coord = lifted.coordinate_for_subset(j, (member,))
-            values[coord] = pi.values[base_layout.block_offsets[j] + pos]
+    for value, coord in zip(pi.values, lifted.singleton_coordinates):
+        values[coord] = value
     return validate_pi(values, lifted.layout)
 
 
 def singleton_types(type_set: RationalTypeSet, lifted: LiftedLayout) -> RationalTypeSet:
     """Re-express ordinary choice types on the lifted layout: each pick as its singleton."""
-    base_layout = type_set.layout
-    if base_layout != build_layout(lifted.base_universe, lifted.base_problems):
+    if type_set.layout != lifted.base_layout:
         raise LayoutMismatch("types do not match the lifted layout's base")
-    lifted_coordinate = [
-        lifted.coordinate_for_subset(j, (member,))
-        for j, problem in enumerate(base_layout.problems)
-        for member in problem.members
-    ]
+    lifted_coordinate = lifted.singleton_coordinates
     types = (
         ChoiceTypeVector(tuple(lifted_coordinate[c] for c in t.chosen))
         for t in type_set.types

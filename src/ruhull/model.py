@@ -21,9 +21,9 @@ no locking.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -134,10 +134,21 @@ class IndexLayout:
         start = self.block_offsets[problem_index]
         return range(start, start + self.problems[problem_index].size)
 
+    @cached_property
+    def coordinate_blocks(self) -> tuple[int, ...]:
+        """The problem index of each coordinate."""
+        return tuple(j for j, p in enumerate(self.problems) for _ in p.members)
+
+    @cached_property
+    def coordinate_labels(self) -> tuple[str, ...]:
+        """The alternative label of each coordinate."""
+        labels = self.universe.labels
+        return tuple(labels[m] for p in self.problems for m in p.members)
+
     def block_of(self, coordinate: int) -> int:
         if not 0 <= coordinate < self.coordinate_count:
             raise ValidationError(f"coordinate {coordinate} out of range")
-        return bisect_right(self.block_offsets, coordinate) - 1
+        return self.coordinate_blocks[coordinate]
 
     def coordinate(self, problem_index: int, universe_index: int) -> int:
         problem = self.problems[problem_index]
@@ -151,9 +162,7 @@ class IndexLayout:
 
     def coordinate_info(self, coordinate: int) -> tuple[int, str]:
         """Return (problem index, alternative label) for a coordinate."""
-        j = self.block_of(coordinate)
-        member = self.problems[j].members[coordinate - self.block_offsets[j]]
-        return j, self.universe.labels[member]
+        return self.block_of(coordinate), self.coordinate_labels[coordinate]
 
 
 def build_layout(

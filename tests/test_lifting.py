@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ruhull import (
     CapExceeded,
+    ChoiceTypeVector,
     LayoutMismatch,
     MixingDistribution,
     SeparatingVector,
@@ -21,6 +22,8 @@ from ruhull import (
     membership,
     parse_instance,
     restricted_trials,
+    run_check,
+    run_verify,
     singleton_choice_data,
     singleton_types,
     type_bits,
@@ -198,6 +201,42 @@ class TestSingletonRecovery:
         )
         assert base_verdict == lifted_verdict
         assert check_restricted_arsp(lifted_pi, lifted_ts, lifted) == base_verdict
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_explicit_base_types_restricted_verdict(self, seed):
+        # run_check and run_verify take the restricted axiom on singleton data
+        # from the membership verdict; the restricted LP, solved here directly
+        # on any explicit singleton-picking types, must agree with it.
+        rng = seeded(seed)
+        universe, problems, layout = random_small_instance(
+            rng, max_universe=3, max_problems=3
+        )
+        picks = [
+            ChoiceTypeVector(
+                tuple(rng.choice(layout.block_range(j)) for j in range(layout.problem_count))
+            )
+            for _ in range(rng.randrange(1, 5))
+        ]
+        rows = [list(type_bits(t, layout)) for t in picks]
+        pi = random_rational_pi(layout, rng, max_numerator=3)
+        tree = {
+            "universe": list(universe.labels),
+            "problems": [[universe.labels[m] for m in p.members] for p in problems],
+            "probabilities": [
+                [str(pi.values[c]) for c in layout.block_range(j)]
+                for j in range(layout.problem_count)
+            ],
+            "types": rows,
+            "set_valued": False,
+        }
+        instance = parse_instance(json.dumps(tree))
+        report = run_check(instance, restricted=True)
+        lifted, lifted_pi, lifted_ts = lifted_view(instance)
+        assert report.restricted_holds == report.outcome.rationalizable
+        assert check_restricted_arsp(lifted_pi, lifted_ts, lifted) == report.restricted_holds
+        ok, failures = run_verify(instance, report.to_structured())
+        assert ok, failures
 
     def test_types_must_be_on_the_base_layout(self):
         universe, problems, layout = make_instance("abc", [("a", "b"), ("b", "c")])
