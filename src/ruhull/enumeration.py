@@ -18,7 +18,6 @@ best value over them is, without listing them.
 from __future__ import annotations
 
 import math
-from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, LayoutMismatch, ValidationError
@@ -47,14 +46,13 @@ def ordered_bell(n: int) -> int:
     return counts[n]
 
 
-def linear_orders(size: int) -> Iterator[tuple[int, ...]]:
-    """All permutations of range(size), best alternative first."""
+def check_linear_order_cap(size: int) -> None:
+    """Refuse a universe whose linear orders are past the enumeration cap."""
     if size > MAX_LINEAR_ORDER_UNIVERSE:
         raise CapExceeded(
             f"refusing to enumerate {size}! = {math.factorial(size)} linear orders "
             f"(cap is a universe of {MAX_LINEAR_ORDER_UNIVERSE})"
         )
-    return permutations(range(size))
 
 
 def weak_orders(size: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -82,20 +80,44 @@ def weak_orders(size: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 def types_from_linear_orders(layout: IndexLayout) -> RationalTypeSet:
     """Types induced by all linear orders: pick the order-best member of each block.
 
-    Distinct orders can induce the same choice pattern (when the problems do
-    not discriminate between them); duplicates are merged.
+    The orders are walked as a prefix tree, best alternative first. Ranking
+    x next picks x in every still-undecided problem that contains x; an
+    alternative in no undecided problem cannot change the pattern, so the
+    walk only ranks alternatives that decide something, and a prefix that
+    has decided every problem yields its pattern and stops. Distinct orders
+    can still induce the same choice pattern; duplicates are merged.
     """
     size = layout.universe.size
+    check_linear_order_cap(size)
+    # Per alternative: (problem, coordinate) of each problem it is a member of.
+    picks: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for j, p in enumerate(layout.problems):
+        for c, m in zip(layout.block_range(j), p.members):
+            picks[m].append((j, c))
+    members = [p.members for p in layout.problems]
+    chosen = [-1] * layout.problem_count
+    open_count = [len(by_problem) for by_problem in picks]  # undecided problems per alternative
     patterns = set()
-    for order in linear_orders(size):
-        rank = [0] * size
-        for pos, alt in enumerate(order):
-            rank[alt] = pos
-        chosen = tuple(
-            layout.coordinate(j, min(p.members, key=rank.__getitem__))
-            for j, p in enumerate(layout.problems)
-        )
-        patterns.add(chosen)
+
+    def walk(unranked: list[int], undecided: int) -> None:
+        for x in unranked:
+            decided = [(j, c) for j, c in picks[x] if chosen[j] < 0]
+            for j, c in decided:
+                chosen[j] = c
+            if len(decided) == undecided:
+                patterns.add(tuple(chosen))
+            else:
+                for j, _ in decided:
+                    for m in members[j]:
+                        open_count[m] -= 1
+                walk([a for a in unranked if open_count[a]], undecided - len(decided))
+                for j, _ in decided:
+                    for m in members[j]:
+                        open_count[m] += 1
+            for j, _ in decided:
+                chosen[j] = -1
+
+    walk([a for a in range(size) if picks[a]], layout.problem_count)
     return make_type_set(map(ChoiceTypeVector, patterns), layout)
 
 

@@ -36,9 +36,9 @@ from typing import Any, Callable, Sequence
 from .certificate import CheckOutcome, decide, integerize, positivize
 from .enumeration import (
     LinearOrderOracle,
+    check_linear_order_cap,
     correspondence_types_from_linear_orders,
     correspondence_types_from_weak_orders,
-    linear_orders,
     types_from_explicit,
     types_from_linear_orders,
     weak_orders,
@@ -325,7 +325,7 @@ def _parse_types(
     enumeration cap here and enumerated only when ``type_set`` is first used."""
     size = layout.universe.size if lifted is None else lifted.base_universe.size
     if raw == "linear-orders":
-        linear_orders(size)  # raises past the cap, before yielding anything
+        check_linear_order_cap(size)
         return raw, raw
     if raw == "weak-orders":
         if lifted is None:

@@ -7,6 +7,16 @@ vector that strictly separates the data from every type. The decision is a
 rational LP feasibility problem: find nonnegative weights, summing to one,
 whose type combination equals the data; the Farkas multipliers of the
 infeasible case are exactly a separating functional.
+
+Every block of the data and of every type sums to 1, so the hull lies in an
+affine subspace of dimension coords - problems and one coordinate row per
+block is implied by the others and the convexity row. The LP keeps the rows
+of every coordinate but the last of its block, plus the convexity row:
+coords - problems + 1 rows. The Farkas multipliers are zero-padded back to
+full length and each block is then shifted so its minimum is 0. A shift
+constant on a block moves the data and every type by the same amount, so
+the gap is unchanged; the separator is nonnegative, and so is already the
+vector the certificate pipeline positivizes.
 """
 
 from __future__ import annotations
@@ -79,41 +89,55 @@ def test_membership(
     """
     if pi.layout != type_set.layout:
         raise LayoutMismatch("choice data and type set use different layouts")
+    layout = pi.layout
     types = type_set.types
-    n_coords = pi.layout.coordinate_count
+    n_coords = layout.coordinate_count
 
     if len(types) == 1:
         only = types[0]
         picked = set(only.chosen)
         diff = [v - int(k in picked) for k, v in enumerate(pi.values)]
         if not any(diff):
-            return MixingDistribution(pi.layout, ((only, Fraction(1)),))
+            return MixingDistribution(layout, ((only, Fraction(1)),))
         # Deterministic separator: sign pattern of the first differing coordinate.
         i = next(k for k, d in enumerate(diff) if d)
         sign = 1 if diff[i] > 0 else -1
         direction = tuple(sign if k == i else 0 for k in range(n_coords))
         return SeparatingVector(direction, abs(diff[i]))
 
-    # Nonzeros of one row per coordinate, then of the convexity row.
+    # Nonzeros of one row per coordinate but the last of its block, then of
+    # the convexity row.
+    blocks = [layout.block_range(j) for j in range(layout.problem_count)]
+    kept = [i for block in blocks for i in block[:-1]]
+    row_of = [-1] * n_coords
+    for r, i in enumerate(kept):
+        row_of[i] = r
     ones = [(k, 1) for k in range(len(types))]
-    rows = [[] for _ in range(n_coords)]
+    rows = [[] for _ in kept]
     for entry, t in zip(ones, types):
         for i in t.chosen:
-            rows[i].append(entry)
+            if row_of[i] >= 0:
+                rows[row_of[i]].append(entry)
     rows.append(ones)
-    rhs = list(pi.values) + [Fraction(1)]
+    rhs = [pi.values[i] for i in kept] + [Fraction(1)]
     result = solve_equality_feasibility(rows, rhs, len(types))
 
     if isinstance(result, FeasiblePoint):
         weights = tuple(
             (types[k], w) for k, w in enumerate(result.x) if w != 0
         )
-        return MixingDistribution(pi.layout, weights)
+        return MixingDistribution(layout, weights)
 
-    direction = primitive_integers(result.y[:n_coords])
+    y = [Fraction(0)] * n_coords
+    for i, v in zip(kept, result.y):
+        y[i] = v
+    for block in blocks:
+        low = min(y[i] for i in block)
+        for i in block:
+            y[i] -= low
+    direction = primitive_integers(y)
     best, _ = max_over_types(direction, type_set)
     gap = inner(direction, pi.values) - best
     if gap <= 0:
         raise AssertionError("infeasible system produced a non-separating direction")
     return SeparatingVector(direction, gap)
-

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from ruhull import load_instance, run_verify
 from ruhull.cli import main
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "instances"
@@ -242,3 +243,21 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
         assert first  # sanity: the command printed something
+
+
+UNNORMALIZED = pathlib.Path(__file__).resolve().parent / "fixtures" / "unnormalized_reports"
+
+
+@pytest.mark.parametrize(
+    "report_path", sorted(UNNORMALIZED.glob("*.json")), ids=lambda p: p.stem
+)
+def test_reports_with_negative_separators_still_verify(report_path, capsys):
+    # Reports written before separators were shifted to block minimum 0: the
+    # separator has negative entries and positivize shifts it.
+    report = json.loads(report_path.read_text())
+    assert min(report["certificate"]["separating"]) < 0
+    instance_path = SAMPLES / f"{report_path.name.split('.')[0]}.json"
+    ok, failures = run_verify(load_instance(str(instance_path)), report)
+    assert ok, failures
+    assert main(["verify", str(instance_path), str(report_path)]) == 0
+    assert "verified: true" in capsys.readouterr().out

@@ -1,19 +1,24 @@
+from itertools import combinations
+
 import pytest
 
 from ruhull import (
     CapExceeded,
+    ChoiceTypeVector,
     ValidationError,
     correspondence_types_from_linear_orders,
     correspondence_types_from_weak_orders,
     lift_layout,
+    make_type_set,
     ordered_bell,
+    singleton_types,
     type_bits,
     types_from_explicit,
     types_from_linear_orders,
     weak_orders,
 )
 
-from conftest import brute_force_order_patterns, make_instance
+from conftest import LABELS, brute_force_order_patterns, make_instance
 
 
 class TestLinearOrderTypes:
@@ -48,6 +53,53 @@ class TestLinearOrderTypes:
     def test_deterministic(self, pairwise3):
         _, _, layout, _ = pairwise3
         assert types_from_linear_orders(layout) == types_from_linear_orders(layout)
+
+
+def permutation_types(layout):
+    """The linear-order types by scanning every permutation of the universe."""
+    return make_type_set(
+        map(ChoiceTypeVector, brute_force_order_patterns(layout)), layout
+    )
+
+
+def _domains():
+    """Layouts of every shape the prefix tree walks, as pytest params."""
+    out = [pytest.param("a", [("a",)], id="single alternative")]
+    for n in range(2, 8):
+        labels = LABELS[:n]
+        out.append(pytest.param(labels, list(combinations(labels, 2)), id=f"pairwise {n}"))
+        out.append(pytest.param(
+            labels, [(labels[-1],), (labels[0], labels[-1]), labels], id=f"size one {n}"
+        ))
+        out.append(pytest.param(
+            labels,
+            [labels[:2], labels, labels[:2], labels[1:3] or labels, labels],
+            id=f"repeated {n}",
+        ))
+    for n in range(2, 6):
+        labels = LABELS[:n]
+        subsets = [p for k in range(1, n + 1) for p in combinations(labels, k)]
+        out.append(pytest.param(labels, subsets, id=f"all subsets {n}"))
+    out.append(pytest.param(LABELS[:7], [("b", "d"), ("d", "f")], id="unused alternatives"))
+    return out
+
+
+class TestPrefixTreeEnumeration:
+    @pytest.mark.parametrize("labels,problems", _domains())
+    def test_equals_the_permutation_scan(self, labels, problems):
+        _, _, layout = make_instance(labels, problems)
+        assert types_from_linear_orders(layout) == permutation_types(layout)
+
+    @pytest.mark.parametrize("labels,problems", [
+        ("abc", [("a", "b"), ("a", "b", "c")]),
+        ("abcd", [("a",), ("a", "d"), ("b", "c", "d"), ("a", "d")]),
+        ("abcde", list(combinations("abcde", 2))),
+    ])
+    def test_correspondence_types_are_unchanged(self, labels, problems):
+        universe, base, layout = make_instance(labels, problems)
+        lifted = lift_layout(universe, base)
+        expected = singleton_types(permutation_types(layout), lifted)
+        assert correspondence_types_from_linear_orders(universe, base, lifted) == expected
 
 
 class TestExplicitTypes:

@@ -180,7 +180,8 @@ def _forbid_enumeration(monkeypatch):
     def refuse(size):
         raise AssertionError(f"linear orders of {size} alternatives were enumerated")
 
-    monkeypatch.setattr(ruhull.enumeration, "linear_orders", refuse)
+    # Every enumeration of linear orders checks its cap first.
+    monkeypatch.setattr(ruhull.enumeration, "check_linear_order_cap", refuse)
 
 
 def _reports(name):
