@@ -17,12 +17,13 @@ from .certificate import (
     positivize,
 )
 from .enumeration import (
+    OrderTypes,
+    check_weak_order_cap,
     correspondence_types_from_linear_orders,
     correspondence_types_from_weak_orders,
     ordered_bell,
     types_from_explicit,
     types_from_linear_orders,
-    weak_orders,
 )
 from .errors import (
     CapExceeded,

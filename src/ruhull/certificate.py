@@ -128,21 +128,15 @@ def make_certificate(
     mode: DecompositionMode = "compressed",
 ) -> ViolationCertificate:
     """Run the full pipeline and verify the strict violation before returning."""
-    direction = separating.direction
-    best, _ = max_over_types(direction, type_set)
-    gap = inner(direction, pi.values) - best
-    if gap <= 0:
-        raise ValidationError(
-            f"input does not separate: gap {gap} is not strictly positive"
-        )
-    shifted = positivize(direction)
+    # positivize and integerize keep strict separation, so the aggregate
+    # separates exactly when the input does.
+    shifted = positivize(separating.direction)
     aggregate = integerize(shifted)
-    trials = decompose_to_trials(aggregate, pi.layout, mode)
     lhs = Fraction(inner(aggregate, pi.values))
-    rhs_val, _ = max_over_types(aggregate, type_set)
-    rhs = Fraction(rhs_val)
+    rhs = Fraction(max_over_types(aggregate, type_set)[0])
     if lhs <= rhs:
-        raise AssertionError("pipeline lost strict separation; this is a bug")
+        raise ValidationError(f"input does not separate: lhs {lhs} is not above rhs {rhs}")
+    trials = decompose_to_trials(aggregate, pi.layout, mode)
     return ViolationCertificate(
         separating=separating,
         positivized=shifted,

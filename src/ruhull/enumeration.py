@@ -7,21 +7,25 @@ Three sources of admissible types are supported:
   single choices on a power-set-lifted layout,
 * explicit user-supplied 0/1 rows for anything else.
 
+Both order families are one engine, ``OrderTypes``. An order ranks classes
+of alternatives best first: single alternatives for a linear order, sets of
+tied alternatives for a weak order. Ranking a class C decides every
+still-undecided problem P that meets C, with the pick C & P. From that one
+definition the engine lists the types, gives a functional's best value over
+them by a subset dynamic program, and decides whether a pattern is a type,
+the last two without listing anything.
+
 Enumeration is deterministic: identical inputs always produce the identical
 canonical type set. Hard caps keep the combinatorics at desk scale.
-
-``LinearOrderOracle`` answers the two questions a report's witness puts to
-the linear-order types, whether a pattern is one and what a functional's
-best value over them is, without listing them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded, LayoutMismatch, ValidationError
-from .lifting import LiftedLayout, singleton_types
+from .lifting import LiftedLayout
 from .model import (
     ChoiceProblem,
     ChoiceTypeVector,
@@ -55,70 +59,167 @@ def check_linear_order_cap(size: int) -> None:
         )
 
 
-def weak_orders(size: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All ordered partitions of range(size), best indifference class first."""
+def check_weak_order_cap(size: int) -> None:
+    """Refuse a universe whose weak orders are past the enumeration cap."""
     if size > MAX_WEAK_ORDER_UNIVERSE:
         raise CapExceeded(
             f"refusing to enumerate {ordered_bell(size)} weak orders "
             f"(cap is a universe of {MAX_WEAK_ORDER_UNIVERSE})"
         )
 
-    def rec(remaining: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if not remaining:
-            yield ()
-            return
-        n = len(remaining)
-        for mask in range(1, 1 << n):
-            first = tuple(remaining[i] for i in range(n) if mask >> i & 1)
-            rest = tuple(remaining[i] for i in range(n) if not mask >> i & 1)
-            for tail in rec(rest):
-                yield (first,) + tail
 
-    return rec(tuple(range(size)))
+def _mask(alternatives: Iterable[int]) -> int:
+    return sum(1 << a for a in alternatives)
+
+
+class OrderTypes:
+    """The types that linear orders, or with ``ties`` weak orders, induce.
+
+    A type picks, in every problem, the order's maximizer set of that
+    problem: a single alternative for a linear order, any nonempty subset
+    for a weak order (so weak orders need a lifted layout, whose blocks hold
+    the subsets). On a lifted layout a linear order picks singletons.
+    Alternatives and problems are bit masks over the base universe; for each
+    problem the engine keeps the coordinate it picks for each maximizer set.
+
+    ``types()`` walks the orders as a prefix tree of ranked classes; a class
+    holds only alternatives of still-undecided problems, and a prefix that
+    decides every problem yields its pattern and stops. ``best_value(y)`` is
+    the dynamic program of Held and Karp (1962) over the set S of
+    alternatives ranked so far: with f(empty) = 0,
+
+        f(S | C) = max over S and C disjoint from S of
+                   f(S) + sum of y[pick(P, C & P)] over the P that meet C and miss S,
+
+    and the best value is f(universe): O(2^n sum |P|) exact additions for
+    linear orders, O(3^n sum |P|) for weak orders. ``admits(t)`` is
+    Richter's (1966) test: a pattern is a type iff no strict revealed
+    preference (its pick over another member of a problem) lies on a cycle
+    of the revealed relation (its pick over every member), which the
+    transitive closure of that relation decides in O(n^2 + sum |P|).
+    """
+
+    def __init__(self, layout: IndexLayout | LiftedLayout, ties: bool = False):
+        if isinstance(layout, LiftedLayout):
+            self.layout, subsets = layout.layout, layout.subsets
+            base_problems, self._size = layout.base_problems, layout.base_universe.size
+        elif ties:
+            raise ValidationError("weak-order types need a power-set lifted layout")
+        else:
+            self.layout, subsets = layout, None
+            base_problems, self._size = layout.problems, layout.universe.size
+        self.ties = ties
+        self._masks = [_mask(p.members) for p in base_problems]
+        # Per problem: the coordinate picked for each maximizer set, keyed by
+        # its mask. Per pick coordinate: its problem, the set as a mask and as
+        # members, and the problem's other members.
+        self._picks: list[dict[int, int]] = []
+        self._picked: dict[int, tuple[int, int, tuple[int, ...], tuple[int, ...]]] = {}
+        for j, (problem, base) in enumerate(zip(self.layout.problems, base_problems)):
+            picks = {}
+            for c, m in zip(self.layout.block_range(j), problem.members):
+                chosen = (m,) if subsets is None else subsets[m]
+                if len(chosen) == 1 or (ties and chosen):
+                    picks[_mask(chosen)] = c
+                    others = tuple(a for a in base.members if a not in chosen)
+                    self._picked[c] = (j, _mask(chosen), chosen, others)
+            self._picks.append(picks)
+
+    def _classes(self, alternatives: int) -> list[int]:
+        """The classes an order can rank next among ``alternatives``, as masks."""
+        if not self.ties:
+            return [1 << a for a in range(self._size) if alternatives >> a & 1]
+        out, cls = [], alternatives
+        while cls:
+            out.append(cls)
+            cls = (cls - 1) & alternatives
+        return out
+
+    def types(self) -> RationalTypeSet:
+        """Every induced type, deduplicated and canonically ordered."""
+        (check_weak_order_cap if self.ties else check_linear_order_cap)(self._size)
+        masks, picks = self._masks, self._picks
+        chosen = [-1] * len(masks)
+        patterns = set()
+
+        def walk(undecided: list[int]) -> None:
+            relevant = 0
+            for j in undecided:
+                relevant |= masks[j]
+            for cls in self._classes(relevant):
+                rest = []
+                for j in undecided:
+                    hit = masks[j] & cls
+                    if hit:
+                        chosen[j] = picks[j][hit]
+                    else:
+                        rest.append(j)
+                if rest:
+                    walk(rest)
+                else:
+                    patterns.add(tuple(chosen))
+
+        walk(list(range(len(masks))))
+        return make_type_set(map(ChoiceTypeVector, patterns), self.layout)
+
+    def best_value(self, y: Sequence[Rational]) -> Rational:
+        """max over the types R of inner(y, R), exactly; equals max_over_types's value."""
+        if len(y) != self.layout.coordinate_count:
+            raise LayoutMismatch(
+                f"vector length {len(y)} does not match layout "
+                f"({self.layout.coordinate_count} coordinates)"
+            )
+        states = 1 << self._size
+        # Per class: (problem mask, y at the pick) of each problem it meets.
+        gains = []
+        for cls in self._classes(states - 1):
+            collected = []
+            for mask, picks in zip(self._masks, self._picks):
+                c = picks.get(mask & cls)
+                if c is not None and y[c]:
+                    collected.append((mask, y[c]))
+            gains.append((cls, collected))
+        best: list[Rational | None] = [None] * states
+        best[0] = 0
+        for ranked in range(states - 1):
+            base_value = best[ranked]
+            for cls, collected in gains:
+                if ranked & cls:
+                    continue
+                value = base_value
+                for mask, weight in collected:
+                    if not mask & ranked:
+                        value += weight
+                grown = ranked | cls
+                if best[grown] is None or value > best[grown]:
+                    best[grown] = value
+        return best[states - 1]
+
+    def admits(self, t: ChoiceTypeVector) -> bool:
+        """Whether some order of the family picks ``t.chosen[j]`` in every problem j."""
+        if len(t.chosen) != len(self._masks):
+            return False
+        reach = [1 << a for a in range(self._size)]  # the revealed relation, then its closure
+        picks = [self._picked.get(c) for c in t.chosen]
+        for j, pick in enumerate(picks):
+            if pick is None or pick[0] != j:
+                return False
+            for a in pick[2]:
+                reach[a] |= self._masks[j]
+        for k in range(self._size):
+            bit, via = 1 << k, reach[k]
+            reach = [r | via if r & bit else r for r in reach]
+        # Reject a pick strictly over another member that reaches it back.
+        for _, best, _, others in picks:
+            for a in others:
+                if reach[a] & best:
+                    return False
+        return True
 
 
 def types_from_linear_orders(layout: IndexLayout) -> RationalTypeSet:
-    """Types induced by all linear orders: pick the order-best member of each block.
-
-    The orders are walked as a prefix tree, best alternative first. Ranking
-    x next picks x in every still-undecided problem that contains x; an
-    alternative in no undecided problem cannot change the pattern, so the
-    walk only ranks alternatives that decide something, and a prefix that
-    has decided every problem yields its pattern and stops. Distinct orders
-    can still induce the same choice pattern; duplicates are merged.
-    """
-    size = layout.universe.size
-    check_linear_order_cap(size)
-    # Per alternative: (problem, coordinate) of each problem it is a member of.
-    picks: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for j, p in enumerate(layout.problems):
-        for c, m in zip(layout.block_range(j), p.members):
-            picks[m].append((j, c))
-    members = [p.members for p in layout.problems]
-    chosen = [-1] * layout.problem_count
-    open_count = [len(by_problem) for by_problem in picks]  # undecided problems per alternative
-    patterns = set()
-
-    def walk(unranked: list[int], undecided: int) -> None:
-        for x in unranked:
-            decided = [(j, c) for j, c in picks[x] if chosen[j] < 0]
-            for j, c in decided:
-                chosen[j] = c
-            if len(decided) == undecided:
-                patterns.add(tuple(chosen))
-            else:
-                for j, _ in decided:
-                    for m in members[j]:
-                        open_count[m] -= 1
-                walk([a for a in unranked if open_count[a]], undecided - len(decided))
-                for j, _ in decided:
-                    for m in members[j]:
-                        open_count[m] += 1
-            for j, _ in decided:
-                chosen[j] = -1
-
-    walk([a for a in range(size) if picks[a]], layout.problem_count)
-    return make_type_set(map(ChoiceTypeVector, patterns), layout)
+    """Types induced by all linear orders: pick the order-best member of each block."""
+    return OrderTypes(layout).types()
 
 
 def types_from_explicit(
@@ -135,26 +236,12 @@ def correspondence_types_from_weak_orders(
 ) -> RationalTypeSet:
     """Set-valued maximizer types on a lifted layout, one per weak order.
 
-    For each weak order the type selects, in every lifted block, the single
-    element equal to the set of maximizers of the base problem. Maximizer sets
-    of nonempty problems are nonempty, so these types never select the
-    empty-set element.
+    In every lifted block the type selects the element equal to the set of
+    maximizers of the base problem. Maximizer sets of nonempty problems are
+    nonempty, so these types never select the empty-set element.
     """
     _check_base(universe, problems, lifted)
-    patterns = set()
-    for classes in weak_orders(universe.size):
-        chosen = []
-        for j, problem in enumerate(problems):
-            members = set(problem.members)
-            maximizers: tuple[int, ...] = ()
-            for cls in classes:
-                hit = members.intersection(cls)
-                if hit:
-                    maximizers = tuple(sorted(hit))
-                    break
-            chosen.append(lifted.coordinate_for_subset(j, maximizers))
-        patterns.add(tuple(chosen))
-    return make_type_set(map(ChoiceTypeVector, patterns), lifted.layout)
+    return OrderTypes(lifted, ties=True).types()
 
 
 def correspondence_types_from_linear_orders(
@@ -164,7 +251,7 @@ def correspondence_types_from_linear_orders(
 ) -> RationalTypeSet:
     """Singleton-forcing lifted types: linear orders have one maximizer per block."""
     _check_base(universe, problems, lifted)
-    return singleton_types(types_from_linear_orders(lifted.base_layout), lifted)
+    return OrderTypes(lifted).types()
 
 
 def _check_base(
@@ -174,95 +261,3 @@ def _check_base(
         raise ValidationError(
             "lifted layout was not built from the given universe and problems"
         )
-
-
-class LinearOrderOracle:
-    """The linear-order types of a layout, decided without listing the orders.
-
-    A pattern of picks is such a type iff its revealed relation (the pick of
-    each problem ranked above every other member) is acyclic, which a
-    topological sort decides in O(sum |P|). The best value of a functional y
-    over the types is a dynamic program over the set S of alternatives
-    ranked first, as in Held and Karp (1962): ranking x next collects
-    y[P, x] in every problem P that contains x and misses S, so with
-    f(empty) = 0
-
-        f(S | {x}) = max over such S, x of  f(S) + sum of those y[P, x],
-
-    and the best value is f(universe), found in O(2^n sum |P|) exact
-    additions. On a lifted layout the types are the singleton-forcing ones:
-    every pick is the singleton of a base pick, and y is read on those
-    singletons.
-    """
-
-    def __init__(self, layout: IndexLayout | LiftedLayout):
-        if isinstance(layout, LiftedLayout):
-            self.layout, base = layout.layout, layout.base_layout
-            self._type_coordinate = layout.singleton_coordinates
-        else:
-            self.layout = base = layout
-            self._type_coordinate = range(layout.coordinate_count)
-        self._size = base.universe.size
-        self._problems = base.problems
-        # Per base coordinate: the alternative it picks and its problem as a bit mask.
-        self._member = [m for p in base.problems for m in p.members]
-        self._mask = [
-            sum(1 << m for m in p.members) for p in base.problems for _ in p.members
-        ]
-        self._base_coordinate = {c: b for b, c in enumerate(self._type_coordinate)}
-        self._block = base.coordinate_blocks
-
-    def admits(self, t: ChoiceTypeVector) -> bool:
-        """Whether some linear order picks ``t.chosen[j]`` in every problem j."""
-        if len(t.chosen) != len(self._problems):
-            return False
-        below: list[list[int]] = [[] for _ in range(self._size)]
-        above_count = [0] * self._size
-        for j, c in enumerate(t.chosen):
-            b = self._base_coordinate.get(c)
-            if b is None or self._block[b] != j:
-                return False
-            best = self._member[b]
-            for m in self._problems[j].members:
-                if m != best:
-                    below[best].append(m)
-                    above_count[m] += 1
-        ready = [a for a in range(self._size) if not above_count[a]]
-        ranked = 0
-        while ready:
-            a = ready.pop()
-            ranked += 1
-            for m in below[a]:
-                above_count[m] -= 1
-                if not above_count[m]:
-                    ready.append(m)
-        return ranked == self._size
-
-    def best_value(self, y: Sequence[Rational]) -> Rational:
-        """max over the types R of inner(y, R), exactly; equals max_over_types's value."""
-        if len(y) != self.layout.coordinate_count:
-            raise LayoutMismatch(
-                f"vector length {len(y)} does not match layout "
-                f"({self.layout.coordinate_count} coordinates)"
-            )
-        gains: list[list[tuple[int, Rational]]] = [[] for _ in range(self._size)]
-        for b, c in enumerate(self._type_coordinate):
-            if y[c]:
-                gains[self._member[b]].append((self._mask[b], y[c]))
-        states = 1 << self._size
-        best: list[Rational | None] = [None] * states
-        best[0] = 0
-        for ranked in range(states - 1):
-            base_value = best[ranked]
-            for x, collected in enumerate(gains):
-                bit = 1 << x
-                if ranked & bit:
-                    continue
-                value = base_value
-                for mask, weight in collected:
-                    if not mask & ranked:
-                        value += weight
-                grown = ranked | bit
-                if best[grown] is None or value > best[grown]:
-                    best[grown] = value
-        return best[states - 1]

@@ -35,13 +35,13 @@ from typing import Any, Callable, Sequence
 
 from .certificate import CheckOutcome, decide, integerize, positivize
 from .enumeration import (
-    LinearOrderOracle,
+    OrderTypes,
     check_linear_order_cap,
+    check_weak_order_cap,
     correspondence_types_from_linear_orders,
     correspondence_types_from_weak_orders,
     types_from_explicit,
     types_from_linear_orders,
-    weak_orders,
 )
 from .errors import CapExceeded, InstanceParseError, ValidationError
 from .lifting import (
@@ -332,7 +332,7 @@ def _parse_types(
             raise InstanceParseError(
                 '"weak-orders" types require a set-valued instance', location
             )
-        weak_orders(size)
+        check_weak_order_cap(size)
         return raw, raw
     if isinstance(raw, str):
         raise InstanceParseError(
@@ -388,12 +388,15 @@ def _type_checks(
     """(is a type admissible, best value of a functional over the types) on
     the layout a report used: the instance's own, or ``lifted``.
 
-    Linear orders are decided by ``LinearOrderOracle`` without enumerating
-    them; other type sets by lookup in, and a scan of, the listed types.
+    Linear and weak orders are decided by ``OrderTypes`` without listing
+    them; explicit rows by lookup in, and a scan of, the listed types.
     """
-    if instance.types == "linear-orders":
-        oracle = LinearOrderOracle(instance.layout if lifted is None else lifted)
-        return oracle.admits, oracle.best_value
+    if isinstance(instance.types, str):
+        engine = OrderTypes(
+            instance.layout if lifted is None else lifted,
+            ties=instance.types == "weak-orders",
+        )
+        return engine.admits, engine.best_value
     type_set = _types_on(instance, lifted)
     return set(type_set.types).__contains__, lambda y: max_over_types(y, type_set)[0]
 
@@ -515,24 +518,32 @@ def run_check(
     else:
         pi, type_set = instance.pi, instance.type_set
     outcome = decide(pi, type_set, mode)
-    restricted_holds: bool | None = None
-    if restricted:
-        # On singleton data the data and every type pick singletons, so the
-        # restricted query for S counts exactly what the base query for S
-        # counts: the restricted axiom is the full one. Only set-valued data
-        # needs the restricted LP.
-        restricted_holds = (
-            outcome.rationalizable
-            if instance.lifted is None
-            else check_restricted_arsp(pi, type_set, lifted)
-        )
     return ResultReport(
         instance=instance,
         layout=pi.layout,
         flags={"mode": mode, "restricted_arsp": restricted},
         outcome=outcome,
-        restricted_holds=restricted_holds,
+        restricted_holds=(
+            _restricted_holds(instance, pi, lifted, outcome.rationalizable)
+            if restricted
+            else None
+        ),
     )
+
+
+def _restricted_holds(
+    instance: Instance, pi: StochasticChoiceVector, lifted: LiftedLayout, rationalizable: bool
+) -> bool:
+    """Whether ``pi`` on ``lifted`` satisfies the restricted axiom.
+
+    Rationalizable data satisfies it, since the full axiom implies it. On
+    singleton data every query counts only singletons, so the restricted
+    axiom is the full one. Only set-valued data that fails the full axiom
+    needs the restricted LP.
+    """
+    if rationalizable or instance.lifted is None:
+        return rationalizable
+    return check_restricted_arsp(pi, instance.type_set, lifted)
 
 
 def run_verify(instance: Instance, report: Any) -> tuple[bool, list[str]]:
@@ -579,12 +590,7 @@ def run_verify(instance: Instance, report: Any) -> tuple[bool, list[str]]:
         elif not isinstance(claim, dict) or not isinstance(claim.get("holds"), bool):
             failures.append("restricted-axiom claim is not {\"holds\": true|false}")
         else:
-            # Singleton data: the restricted axiom is the full one (see run_check).
-            actual = (
-                verdict == "rationalizable"
-                if instance.lifted is None
-                else check_restricted_arsp(pi, instance.type_set, lifted)
-            )
+            actual = _restricted_holds(instance, pi, lifted, verdict == "rationalizable")
             if actual != claim["holds"]:
                 failures.append(
                     f"restricted axiom recomputes to {actual}, report claims {claim['holds']}"

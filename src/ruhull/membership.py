@@ -16,7 +16,9 @@ coords - problems + 1 rows. The Farkas multipliers are zero-padded back to
 full length and each block is then shifted so its minimum is 0. A shift
 constant on a block moves the data and every type by the same amount, so
 the gap is unchanged; the separator is nonnegative, and so is already the
-vector the certificate pipeline positivizes.
+vector the certificate pipeline positivizes. A one-type set needs no LP: its
+separator is +-1 on the first coordinate where the data differs from the
+type, shifted and scaled the same way.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
 
 from .errors import LayoutMismatch
 from .exactlp import FeasiblePoint, solve_equality_feasibility
@@ -75,9 +76,6 @@ class SeparatingVector:
     gap: Fraction
 
 
-Verdict = Union[MixingDistribution, SeparatingVector]
-
-
 def test_membership(
     pi: StochasticChoiceVector, type_set: RationalTypeSet
 ) -> MixingDistribution | SeparatingVector:
@@ -92,6 +90,8 @@ def test_membership(
     layout = pi.layout
     types = type_set.types
     n_coords = layout.coordinate_count
+    blocks = [layout.block_range(j) for j in range(layout.problem_count)]
+    y = [Fraction(0)] * n_coords
 
     if len(types) == 1:
         only = types[0]
@@ -99,38 +99,31 @@ def test_membership(
         diff = [v - int(k in picked) for k, v in enumerate(pi.values)]
         if not any(diff):
             return MixingDistribution(layout, ((only, Fraction(1)),))
-        # Deterministic separator: sign pattern of the first differing coordinate.
+        # Deterministic separator: the sign of the first differing coordinate.
         i = next(k for k, d in enumerate(diff) if d)
-        sign = 1 if diff[i] > 0 else -1
-        direction = tuple(sign if k == i else 0 for k in range(n_coords))
-        return SeparatingVector(direction, abs(diff[i]))
+        y[i] = Fraction(1 if diff[i] > 0 else -1)
+    else:
+        # Nonzeros of one row per coordinate but the last of its block, then
+        # of the convexity row.
+        kept = [i for block in blocks for i in block[:-1]]
+        row_of = [-1] * n_coords
+        for r, i in enumerate(kept):
+            row_of[i] = r
+        ones = [(k, 1) for k in range(len(types))]
+        rows = [[] for _ in kept]
+        for entry, t in zip(ones, types):
+            for i in t.chosen:
+                if row_of[i] >= 0:
+                    rows[row_of[i]].append(entry)
+        rows.append(ones)
+        rhs = [pi.values[i] for i in kept] + [Fraction(1)]
+        result = solve_equality_feasibility(rows, rhs, len(types))
+        if isinstance(result, FeasiblePoint):
+            weights = tuple((types[k], w) for k, w in enumerate(result.x) if w != 0)
+            return MixingDistribution(layout, weights)
+        for i, v in zip(kept, result.y):
+            y[i] = v
 
-    # Nonzeros of one row per coordinate but the last of its block, then of
-    # the convexity row.
-    blocks = [layout.block_range(j) for j in range(layout.problem_count)]
-    kept = [i for block in blocks for i in block[:-1]]
-    row_of = [-1] * n_coords
-    for r, i in enumerate(kept):
-        row_of[i] = r
-    ones = [(k, 1) for k in range(len(types))]
-    rows = [[] for _ in kept]
-    for entry, t in zip(ones, types):
-        for i in t.chosen:
-            if row_of[i] >= 0:
-                rows[row_of[i]].append(entry)
-    rows.append(ones)
-    rhs = [pi.values[i] for i in kept] + [Fraction(1)]
-    result = solve_equality_feasibility(rows, rhs, len(types))
-
-    if isinstance(result, FeasiblePoint):
-        weights = tuple(
-            (types[k], w) for k, w in enumerate(result.x) if w != 0
-        )
-        return MixingDistribution(layout, weights)
-
-    y = [Fraction(0)] * n_coords
-    for i, v in zip(kept, result.y):
-        y[i] = v
     for block in blocks:
         low = min(y[i] for i in block)
         for i in block:

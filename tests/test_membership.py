@@ -96,8 +96,9 @@ class TestSingletonTypeSet:
         pi = validate_pi([Fraction(1, 4), Fraction(3, 4)], layout)
         result = membership.test_membership(pi, ts)
         assert isinstance(result, SeparatingVector)
-        # First differing coordinate is 0 where pi is below the type.
-        assert result.direction == (-1, 0)
+        # First differing coordinate is 0 where pi is below the type: -1
+        # there, shifted so the block's minimum is 0.
+        assert result.direction == (0, 1)
         assert result.gap == Fraction(3, 4)
         assert_valid_outcome(pi, ts, result)
 

@@ -1,40 +1,54 @@
-"""The linear-order oracle against enumeration, and ``verify`` without n!.
+"""The order engine against brute force, and ``verify`` without enumeration.
 
-``LinearOrderOracle`` decides types by acyclicity and best values by a
-subset dynamic program; both are compared here with the enumerated type set
-(set membership and ``max_over_types``), which shares no code with them.
+``OrderTypes`` lists types by a prefix-tree walk, decides them by Richter's
+test and gives best values by a subset dynamic program. Each is compared
+here with a brute force that shares no code with it: every permutation of
+the universe for linear orders, every rank assignment for weak orders,
+mapped to its pattern of maximizers (set membership and ``max_over_types``
+over those patterns).
 """
 
 import json
 import pathlib
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
 
 import pytest
 
 import ruhull.enumeration
+import ruhull.fileio
 from ruhull import (
     ChoiceTypeVector,
     LayoutMismatch,
+    OrderTypes,
+    ValidationError,
     lift_layout,
+    make_type_set,
     max_over_types,
+    ordered_bell,
     parse_instance,
     run_check,
     run_verify,
     singleton_types,
-    types_from_linear_orders,
 )
 from ruhull.cli import main
-from ruhull.enumeration import LinearOrderOracle
 from ruhull.fileio import lifted_instance_tree
 
-from conftest import LABELS, make_instance, seeded
+from conftest import LABELS, brute_force_order_patterns, make_instance, seeded
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
 
 def _pairwise(n):
     return make_instance(LABELS[:n], list(combinations(LABELS[:n], 2)))
+
+
+def _cycle(n):
+    """Pairs around a cycle, so that a cyclic pattern on them has no shortcut."""
+    labels = LABELS[:n]
+    pairs = [labels[k:k + 2] for k in range(n - 1)]
+    return make_instance(labels, pairs + [labels[0] + labels[-1]])
 
 
 def _all_subsets(n):
@@ -55,8 +69,10 @@ def _random_problems(rng, n, count, min_size):
 def _base_layouts():
     rng = seeded(31)
     out = {}
-    for n in range(2, 7):
+    for n in range(2, 8):
         out[f"pairwise-{n}"] = _pairwise(n)[2]
+    for n in range(3, 8):
+        out[f"cycle-{n}"] = _cycle(n)[2]
     for n in range(2, 6):
         out[f"all-subsets-{n}"] = _all_subsets(n)[2]
     for n in (3, 4, 5):
@@ -72,28 +88,59 @@ def _base_layouts():
 def _lifted_layouts():
     rng = seeded(32)
     out = {}
-    for n in (2, 3, 4):
-        universe, problems, _ = make_instance(
-            LABELS[:n], _random_problems(rng, n, 3, 1) + _random_problems(rng, n, 1, 1)
-        )
+    for n in (2, 3, 4, 5):
+        problems = _random_problems(rng, n, 3, 1) + _random_problems(rng, n, 1, 1)
+        universe, problems, _ = make_instance(LABELS[:n], problems + problems[:1])
         out[f"lifted-{n}"] = lift_layout(universe, problems)
-    universe, problems, _ = _all_subsets(3)
-    out["lifted-all-subsets-3"] = lift_layout(universe, problems)
+    for n in (2, 3, 4, 5):
+        universe, problems, _ = _all_subsets(n)
+        out[f"lifted-all-subsets-{n}"] = lift_layout(universe, problems)
+    universe, problems, _ = _cycle(5)
+    out["lifted-cycle-5"] = lift_layout(universe, problems)
+    universe, problems, _ = make_instance("a", [("a",)])
+    out["lifted-one-alternative"] = lift_layout(universe, problems)
     return out
 
 
 BASE = _base_layouts()
 LIFTED = _lifted_layouts()
+# Linear orders on base and lifted layouts, weak orders on lifted ones.
+FAMILIES = (
+    [(name, False) for name in sorted(BASE)]
+    + [(name, ties) for name in sorted(LIFTED) for ties in (False, True)]
+)
 
 
-def _enumerated(name):
-    """(oracle, the layout types live on, the enumerated type set) for a layout."""
+def brute_force_weak_order_patterns(lifted):
+    """Maximizer-set pattern of every rank assignment, as chosen-coordinate tuples."""
+    size = lifted.base_universe.size
+    patterns = set()
+    for rank in product(range(size), repeat=size):
+        chosen = []
+        for j, problem in enumerate(lifted.base_problems):
+            top = min(rank[m] for m in problem.members)
+            best = tuple(sorted(m for m in problem.members if rank[m] == top))
+            chosen.append(lifted.coordinate_for_subset(j, best))
+        patterns.add(tuple(chosen))
+    return patterns
+
+
+@cache
+def _brute_force(name, ties):
+    """(engine, the layout types live on, the brute-force type set) for a family."""
     if name in BASE:
         layout = BASE[name]
-        return LinearOrderOracle(layout), layout, types_from_linear_orders(layout)
+        types = make_type_set(map(ChoiceTypeVector, brute_force_order_patterns(layout)), layout)
+        return OrderTypes(layout), layout, types
     lifted = LIFTED[name]
-    enumerated = singleton_types(types_from_linear_orders(lifted.base_layout), lifted)
-    return LinearOrderOracle(lifted), lifted.layout, enumerated
+    if ties:
+        patterns = brute_force_weak_order_patterns(lifted)
+        types = make_type_set(map(ChoiceTypeVector, patterns), lifted.layout)
+    else:
+        base = lifted.base_layout
+        base_types = make_type_set(map(ChoiceTypeVector, brute_force_order_patterns(base)), base)
+        types = singleton_types(base_types, lifted)
+    return OrderTypes(lifted, ties), lifted.layout, types
 
 
 def _random_functional(rng, n, fractions):
@@ -108,102 +155,184 @@ def _random_pattern(rng, layout):
     )
 
 
-@pytest.mark.parametrize("name", sorted(BASE) + sorted(LIFTED))
-class TestOracleAgainstEnumeration:
+def _perturbed(rng, t, layout):
+    """``t`` with the pick of one random block replaced by a random coordinate of it."""
+    j = rng.randrange(layout.problem_count)
+    chosen = list(t.chosen)
+    chosen[j] = rng.choice(layout.block_range(j))
+    return ChoiceTypeVector(tuple(chosen))
+
+
+@pytest.mark.parametrize("name,ties", FAMILIES)
+class TestEngineAgainstBruteForce:
+    def test_types_are_the_brute_force_types(self, name, ties):
+        engine, _, expected = _brute_force(name, ties)
+        assert engine.types() == expected
+
     @pytest.mark.parametrize("fractions", [False, True])
-    def test_best_value_is_the_max_over_types(self, name, fractions):
-        oracle, layout, enumerated = _enumerated(name)
-        rng = seeded(f"{name}:{fractions}")
+    def test_best_value_is_the_max_over_types(self, name, ties, fractions):
+        engine, layout, expected = _brute_force(name, ties)
+        rng = seeded(f"{name}:{ties}:{fractions}")
         n = layout.coordinate_count
         functionals = [[0] * n, [1] * n, [-1] * n]
         functionals += [_random_functional(rng, n, fractions) for _ in range(12)]
         for y in functionals:
-            assert oracle.best_value(y) == max_over_types(y, enumerated)[0], y
+            assert engine.best_value(y) == max_over_types(y, expected)[0], y
 
-    def test_admits_exactly_the_enumerated_types(self, name):
-        oracle, layout, enumerated = _enumerated(name)
-        known = set(enumerated.types)
-        assert all(oracle.admits(t) for t in enumerated.types)
-        rng = seeded(name)
-        for _ in range(300):
+    def test_admits_exactly_the_brute_force_types(self, name, ties):
+        engine, layout, expected = _brute_force(name, ties)
+        known = set(expected.types)
+        assert all(engine.admits(t) for t in expected.types)
+        rng = seeded(f"{name}:{ties}")
+        for _ in range(150):
             t = _random_pattern(rng, layout)
-            assert oracle.admits(t) == (t in known), t.chosen
+            assert engine.admits(t) == (t in known), t.chosen
+            t = _perturbed(rng, rng.choice(expected.types), layout)
+            assert engine.admits(t) == (t in known), t.chosen
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_rank_assignments_give_every_weak_order_once(n):
+    # The brute force's reference: distinct rank patterns are the weak orders.
+    dense = {tuple(sorted(set(r)).index(v) for v in r) for r in product(range(n), repeat=n)}
+    assert len(dense) == ordered_bell(n)
 
 
 def test_lifted_types_pick_singletons_only():
     lifted = LIFTED["lifted-all-subsets-3"]
-    oracle = LinearOrderOracle(lifted)
+    linear, weak = OrderTypes(lifted), OrderTypes(lifted, ties=True)
     layout = lifted.layout
     # Subsets are ordered by size, then by position: each block starts with
     # the empty set and the singleton of its first member, and ends with the
-    # whole problem. Picking the whole problem is no linear-order choice.
+    # whole problem. Picking the whole problem is no linear-order choice,
+    # but it is the choice of the weak order that ties everything.
     whole = ChoiceTypeVector(
         tuple(layout.block_range(j)[-1] for j in range(layout.problem_count))
     )
-    assert not oracle.admits(whole)
+    assert not linear.admits(whole)
+    assert weak.admits(whole)
     empty = ChoiceTypeVector(
         tuple(layout.block_range(j)[0] for j in range(layout.problem_count))
     )
-    assert not oracle.admits(empty)
+    assert not linear.admits(empty)
+    assert not weak.admits(empty)
     first = ChoiceTypeVector(
         tuple(layout.block_range(j)[1] for j in range(layout.problem_count))
     )
-    assert oracle.admits(first)  # the order a, b, c
+    assert linear.admits(first)  # the order a, b, c
+    assert weak.admits(first)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("lifted,ties", [(False, False), (True, False), (True, True)])
+def test_cycles_are_not_types(n, lifted, ties):
+    universe, problems, layout = _cycle(n)
+    if lifted:
+        lifted = lift_layout(universe, problems)
+        engine = OrderTypes(lifted, ties)
+
+        def pick(j, k):
+            return lifted.coordinate_for_subset(j, (problems[j].members[k],))
+    else:
+        engine = OrderTypes(layout)
+
+        def pick(j, k):
+            return layout.block_range(j)[k]
+
+    def pattern(members):
+        return ChoiceTypeVector(tuple(pick(j, k) for j, k in enumerate(members)))
+
+    # Pair j < n - 1 is (x_j, x_j+1) and the last pair is (x_0, x_n-1).
+    assert engine.admits(pattern([0] * n))  # x_0 > x_1 > ... > x_n-1
+    assert not engine.admits(pattern([0] * (n - 1) + [1]))  # ... > x_n-1 > x_0
+    assert not engine.admits(pattern([1] * (n - 1) + [0]))  # the reverse cycle
 
 
 def test_picks_outside_their_block_are_not_types():
     layout = BASE["pairwise-3"]  # blocks ab, ac, bc
-    oracle = LinearOrderOracle(layout)
-    assert oracle.admits(ChoiceTypeVector((0, 2, 4)))
-    assert not oracle.admits(ChoiceTypeVector((2, 2, 4)))
-    assert not oracle.admits(ChoiceTypeVector((0, 2)))
+    engine = OrderTypes(layout)
+    assert engine.admits(ChoiceTypeVector((0, 2, 4)))
+    assert not engine.admits(ChoiceTypeVector((2, 2, 4)))
+    assert not engine.admits(ChoiceTypeVector((0, 2)))
 
 
 def test_best_value_checks_the_length():
-    oracle = LinearOrderOracle(BASE["pairwise-3"])
+    engine = OrderTypes(BASE["pairwise-3"])
     with pytest.raises(LayoutMismatch, match="does not match layout"):
-        oracle.best_value([0] * 5)
+        engine.best_value([0] * 5)
+
+
+def test_weak_orders_need_a_lifted_layout():
+    with pytest.raises(ValidationError, match="lifted layout"):
+        OrderTypes(BASE["pairwise-3"], ties=True)
 
 
 # --- verify without enumeration ------------------------------------------------
 
 
-def _linear_order_samples():
+# Set-valued data that no weak order explains: a over b, b over c, c over a.
+WEAK_CYCLE = json.dumps({
+    "universe": ["a", "b", "c", "d"],
+    "problems": [["a", "b"], ["b", "c"], ["a", "c"], ["a", "b", "c", "d"]],
+    "probabilities": [{"a": "1"}, {"b": "1"}, {"c": "1"}, {"a,b": "1/2", "d": "1/2"}],
+    "types": "weak-orders",
+    "set_valued": True,
+})
+
+
+def _order_instances():
+    """(id, instance text) of every sample with order types, and of WEAK_CYCLE."""
     out = []
     for path in sorted(SAMPLES.glob("*.json")):
-        if json.loads(path.read_text())["types"] == "linear-orders":
-            out.append(path.name)
+        if json.loads(path.read_text())["types"] in ("linear-orders", "weak-orders"):
+            out.append(pytest.param(path.read_text(), id=path.name))
+    out.append(pytest.param(WEAK_CYCLE, id="weak-cycle"))
     return out
 
 
 def _forbid_enumeration(monkeypatch):
-    def refuse(size):
-        raise AssertionError(f"linear orders of {size} alternatives were enumerated")
+    def refuse(*args):
+        raise AssertionError(f"orders were enumerated: {args}")
 
-    # Every enumeration of linear orders checks its cap first.
+    # Every enumeration of orders checks its cap first, and an instance
+    # lists its weak-order types through this name.
     monkeypatch.setattr(ruhull.enumeration, "check_linear_order_cap", refuse)
+    monkeypatch.setattr(ruhull.enumeration, "check_weak_order_cap", refuse)
+    monkeypatch.setattr(ruhull.fileio, "correspondence_types_from_weak_orders", refuse)
 
 
-def _reports(name):
+def _reports(text):
     """(instance text, structured report) as CI checks them: plain, restricted, lifted."""
-    text = (SAMPLES / name).read_text()
     instance = parse_instance(text)
-    out = [(text, run_check(instance).to_structured())]
-    if not instance.set_valued:
-        # Set-valued data needs the type set for the restricted LP.
+    plain = run_check(instance)
+    out = [(text, plain.to_structured())]
+    if not instance.set_valued or plain.outcome.rationalizable:
+        # Set-valued data that fails the full axiom needs the types for the restricted LP.
         out.append((text, run_check(instance, restricted=True).to_structured()))
     lifted_text = json.dumps(lifted_instance_tree(instance))
     out.append((lifted_text, run_check(parse_instance(lifted_text)).to_structured()))
     return out
 
 
-@pytest.mark.parametrize("name", _linear_order_samples())
-def test_sample_reports_verify_without_enumeration(name, monkeypatch):
-    parsed = [(parse_instance(text), report) for text, report in _reports(name)]
+@pytest.mark.parametrize("text", _order_instances())
+def test_sample_reports_verify_without_enumeration(text, monkeypatch):
+    parsed = [(parse_instance(t), report) for t, report in _reports(text)]
     _forbid_enumeration(monkeypatch)
     for instance, report in parsed:
         ok, failures = run_verify(instance, json.loads(json.dumps(report)))
         assert ok, failures
+
+
+def test_weak_order_certificate_verifies_without_enumeration(monkeypatch):
+    instance = parse_instance(WEAK_CYCLE)
+    report = json.loads(json.dumps(run_check(instance).to_structured()))
+    assert report["verdict"] == "not-rationalizable"
+    _forbid_enumeration(monkeypatch)
+    ok, failures = run_verify(instance, report)
+    assert ok, failures
+    report["certificate"]["rhs"] = str(Fraction(report["certificate"]["rhs"]) + 1)
+    ok, failures = run_verify(instance, report)
+    assert not ok and failures[0].startswith("rhs is ")
 
 
 NINE = LABELS[:9]
@@ -337,3 +466,22 @@ def test_eleven_alternatives_exit_four_at_parse(command, tmp_path, capsys):
     argv = ["check", str(path)] if command == "check" else ["verify", str(path), str(report)]
     assert main(argv) == 4
     assert "refusing to enumerate 11! = 39916800 linear orders" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_seven_alternative_weak_orders_exit_four_at_parse(command, tmp_path, capsys):
+    labels = list(LABELS[:7])
+    tree = {
+        "universe": labels,
+        "problems": [labels[:2]],
+        "probabilities": [{labels[0]: "1"}],
+        "types": "weak-orders",
+        "set_valued": True,
+    }
+    path = tmp_path / "seven.json"
+    path.write_text(json.dumps(tree))
+    report = tmp_path / "report.json"
+    report.write_text("{}")
+    argv = ["check", str(path)] if command == "check" else ["verify", str(path), str(report)]
+    assert main(argv) == 4
+    assert "refusing to enumerate 47293 weak orders" in capsys.readouterr().err
