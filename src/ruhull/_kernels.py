@@ -1,12 +1,12 @@
 """The inner loops of the exact LP, the type maximization and the facets code.
 
-* ``dot``: inner products (``model.inner``, facet offsets and incidences);
+* ``dot``: inner products (``model.inner``, facet offsets and the values of
+  the double description rays on each inserted vertex);
 * ``best_support``: the best type for a functional (``model.max_over_types``);
 * ``bareiss_row``: one row update of a fraction-free simplex pivot, and also
-  the elimination step of the facets row reduction;
-* ``combine``: a new ray of the double description method.
+  the elimination step of the facets row reduction.
 
-All four are exact: they operate on Python ints and ``Fraction`` values and
+All three are exact: they operate on Python ints and ``Fraction`` values and
 never convert to floating point. Zero entries are skipped so that exact
 arithmetic only pays for nonzero work (pivot blocks and 0/1 vectors are
 sparse in practice). Callers look the kernels up on this module at call time
@@ -59,7 +59,3 @@ def bareiss_row(row, pivot_row, coeff, pivot, divisor):
         else:
             row[j] = 0
 
-
-def combine(cx, x, cy, y):
-    """Return the list cx*x + cy*y for equal-length sequences x, y."""
-    return [cx * a + cy * b for a, b in zip(x, y)]

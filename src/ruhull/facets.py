@@ -12,8 +12,10 @@ row reduction of vertex differences; facets are then enumerated inside the
 hull with the double description method over the integers: start from a
 simplicial cone spanned by the first affinely independent vertices and insert
 the remaining vertices one at a time, maintaining the extreme rays of the
-dual cone with a combinatorial adjacency test. The same row reduction picks
-those vertices and inverts the starting cone.
+dual cone with a combinatorial adjacency test. One row reduction, of the
+transposed vertex matrix with an identity block appended, both picks those
+vertices and inverts the starting cone. Zero sets are kept by bookkeeping: a
+new ray is zero on an inserted vertex exactly when both its parents are.
 
 Vertex-to-halfspace conversion blows up quickly in general, so hard caps on
 coordinates and vertex counts refuse anything beyond desk scale.
@@ -141,56 +143,45 @@ def _double_description(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     dim = len(points[0]) + 1
     generators = [tuple(p) + (1,) for p in points]
 
-    # The first dim linearly independent generators: the pivot columns of
-    # the transposed generator matrix.
-    _, chosen = _rref([list(column) for column in zip(*generators)])
-    if len(chosen) < dim:
+    # One reduction of [G^T | I]: its pivots in the first len(generators)
+    # columns are the first dim linearly independent generators, and its
+    # right block is d * (G_c^T)^-1 for those generators G_c. Row c of that
+    # block, times the sign of d, is the starting ray that takes a positive
+    # value on chosen generator c and 0 on the other chosen ones.
+    reduced, chosen = _rref([
+        list(column) + [int(r == c) for c in range(dim)]
+        for r, column in enumerate(zip(*generators))
+    ])
+    if chosen[-1] >= len(generators):
         raise AssertionError("points do not affinely span their space")
-
-    # The starting rays are the columns of G^-1 for the chosen rows G. The
-    # right block of the reduced [G | I] is d * G^-1, and d may be negative.
-    aug = [
-        list(generators[i]) + [int(r == c) for c in range(dim)]
-        for r, i in enumerate(chosen)
-    ]
-    reduced, pivots = _rref(aug)
-    if pivots != list(range(dim)):
-        raise AssertionError("matrix is singular")
-    sign = 1 if reduced[0][0] > 0 else -1
+    sign = 1 if reduced[0][chosen[0]] > 0 else -1
     rays = [
-        primitive_integers([sign * reduced[r][dim + c] for r in range(dim)])
-        for c in range(dim)
+        primitive_integers([sign * v for v in row[len(generators):]])
+        for row in reduced
     ]
 
-    # Exact zero sets (bitmask over processed inequalities) drive the
-    # combinatorial adjacency test; they are always computed by evaluation
-    # because combinations can be accidentally tight on old inequalities.
-    processed = [generators[i] for i in chosen]
-
-    def tight_mask(ray: tuple[int, ...]) -> int:
-        mask = 0
-        for q, gen in enumerate(processed):
-            if _kernels.dot(gen, ray) == 0:
-                mask |= 1 << q
-        return mask
-
-    masks = [tight_mask(r) for r in rays]
+    # Zero sets (bitmask over inserted generators, by insertion position)
+    # drive the combinatorial adjacency test. Every ray is >= 0 on every
+    # inserted generator: a starting ray is zero on all chosen generators
+    # but its own, and a new ray is a positive combination of a ray positive
+    # and a ray negative on the generator being inserted. So a new ray is
+    # zero exactly where both parents are, and on the new generator.
+    masks = [((1 << dim) - 1) ^ (1 << c) for c in range(dim)]
 
     chosen_set = set(chosen)
-    for idx, g in enumerate(generators):
-        if idx in chosen_set:
-            continue
-        position = len(processed)
+    rest = [g for idx, g in enumerate(generators) if idx not in chosen_set]
+    for position, g in enumerate(rest, start=dim):
+        bit = 1 << position
         values = [_kernels.dot(g, r) for r in rays]
         plus = [k for k, v in enumerate(values) if v > 0]
         minus = [k for k, v in enumerate(values) if v < 0]
         for k, v in enumerate(values):
             if v == 0:
-                masks[k] |= 1 << position
-        processed.append(g)
+                masks[k] |= bit
         if not minus:
             continue
         new_rays: list[tuple[int, ...]] = []
+        new_masks: list[int] = []
         for kp in plus:
             for km in minus:
                 common = masks[kp] & masks[km]
@@ -200,14 +191,14 @@ def _double_description(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
                         adjacent = False
                         break
                 if adjacent:
-                    new_rays.append(
-                        primitive_integers(
-                            _kernels.combine(values[kp], rays[km], -values[km], rays[kp])
-                        )
-                    )
+                    vp, vm = values[kp], values[km]
+                    new_rays.append(primitive_integers(
+                        [vp * a - vm * b for a, b in zip(rays[km], rays[kp])]
+                    ))
+                    new_masks.append(common | bit)
         keep = [k for k, v in enumerate(values) if v >= 0]
         rays = [rays[k] for k in keep] + new_rays
-        masks = [masks[k] for k in keep] + [tight_mask(r) for r in new_rays]
+        masks = [masks[k] for k in keep] + new_masks
     return rays
 
 

@@ -177,6 +177,32 @@ class TestOtherCommands:
         assert main(["verify", path, str(report_path)]) == 2
         assert "verified: false" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "rhs,code,verified,failures",
+        [("2", 0, "true", "[]"), ("1", 2, "false", '[\n    "rhs is 2, report claims 1"\n  ]')],
+        ids=["accepted", "rejected"],
+    )
+    def test_verify_structured(
+        self, write_instance, tmp_path, capsys, rhs, code, verified, failures
+    ):
+        path = write_instance(CYCLIC_TREE)
+        main(["check", path, "--format", "structured"])
+        tree = json.loads(capsys.readouterr().out)
+        assert tree["certificate"]["rhs"] == "2"
+        tree["certificate"]["rhs"] = rhs
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(tree))
+        assert main(["verify", path, str(report_path), "--format", "structured"]) == code
+        assert capsys.readouterr().out == (
+            "{\n"
+            f'  "failures": {failures},\n'
+            '  "format": "ruhull-verify-v1",\n'
+            '  "instance_digest": '
+            '"529c90051c37463d71b9a208a46eba2f1490121cee72ff0e57644eb993a11198",\n'
+            f'  "verified": {verified}\n'
+            "}\n"
+        )
+
 
 class TestHugeJsonIntegers:
     # json refuses integer literals over 4300 digits with a plain ValueError.

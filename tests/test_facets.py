@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -125,6 +126,15 @@ class TestRowReduction:
                 tuple(rng.randrange(-2, 3) for _ in range(dim))
                 for _ in range(rng.randrange(dim + 1, dim + 6))
             })
+            if affine_rank(points) == dim + 1:
+                samples.append(points)
+        # Subsets of cube vertices in dimensions 4 and 5: many points share
+        # each facet, so new rays inherit most of their zero sets from both
+        # parents.
+        while len(samples) < 60:
+            dim = 4 if len(samples) < 50 else 5
+            cube = list(product((0, 1), repeat=dim))
+            points = rng.sample(cube, rng.randrange(dim + 3, dim + 8))
             if affine_rank(points) == dim + 1:
                 samples.append(points)
         for points in samples:

@@ -14,6 +14,7 @@ from ruhull import (
     run_check,
     run_verify,
 )
+from ruhull.cli import main
 from ruhull.fileio import lifted_instance_tree
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "instances"
@@ -155,6 +156,82 @@ class TestParseInstance:
         })
         with pytest.raises(InstanceParseError, match="comma"):
             parse_instance(text)
+
+
+SINGLETON_TREE = json.loads(make_text())
+SET_VALUED_TREE = {
+    "universe": ["a", "b"],
+    "problems": [["a", "b"]],
+    "probabilities": [{"a,b": "1/2", "": "1/2"}],
+    "types": "weak-orders",
+    "set_valued": True,
+}
+
+# (id, instance tree, location, message fragment): every error exit of
+# instance parsing that the tests above leave out.
+PARSE_ERRORS = [
+    ("boolean-rational", {**SINGLETON_TREE, "probabilities": [[True, "0.7"]]},
+     "instance.probabilities[0][0]", "got a boolean"),
+    ("not-an-object", [SINGLETON_TREE],
+     "instance", "must be a JSON object"),
+    ("set-valued-not-boolean", {**SINGLETON_TREE, "set_valued": 1},
+     "instance.set_valued", "true or false"),
+    ("label-not-a-string", {**SINGLETON_TREE, "universe": ["a", 1]},
+     "instance.universe", "list of label strings"),
+    ("repeated-label", {**SINGLETON_TREE, "universe": ["a", "a"]},
+     "instance.universe", "duplicate universe label 'a'"),
+    ("no-problems", {**SINGLETON_TREE, "problems": []},
+     "instance.problems", "nonempty list"),
+    ("probability-row-count",
+     {**SINGLETON_TREE, "probabilities": [["1/2", "1/2"], ["1", "0"]]},
+     "instance.probabilities", "one probability list per problem (1)"),
+    ("subset-map-count", {**SET_VALUED_TREE, "probabilities": []},
+     "instance.probabilities", "one subset map per problem (1)"),
+    ("row-length", {**SINGLETON_TREE, "probabilities": [["1"]]},
+     "instance.probabilities[0]", "expected 2 entries aligned with problem 0"),
+    ("set-valued-entry-not-a-map", {**SET_VALUED_TREE, "probabilities": [["1/2", "1/2"]]},
+     "instance.probabilities[0]", "map subsets to probabilities"),
+    ("subset-key-repeats-a-label", {**SET_VALUED_TREE, "probabilities": [{"a,a": "1"}]},
+     "instance.probabilities[0]['a,a']", "repeats a label"),
+    # Lifting adds up the values of equal keys, so without this check the
+    # map would be read as {a,b}: 1 and accepted.
+    ("two-keys-for-one-subset",
+     {**SET_VALUED_TREE, "probabilities": [{"a,b": "1/2", "b,a": "1/2"}]},
+     "instance.probabilities[0]['b,a']", "duplicate subset key"),
+    ("set-valued-sum", {**SET_VALUED_TREE, "probabilities": [{"a": "1/2"}]},
+     "instance.probabilities", "sum to 1/2, not 1"),
+    ("unknown-types-keyword", {**SINGLETON_TREE, "types": "partial-orders"},
+     "instance.types", "unknown types keyword 'partial-orders'"),
+    ("types-not-a-keyword-or-list", {**SINGLETON_TREE, "types": 5},
+     "instance.types", "a keyword or a nonempty list of rows"),
+    ("explicit-row-picks-two", {**SINGLETON_TREE, "types": [[1, 1]]},
+     "instance.types", "selects 2 alternatives in problem 0"),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize(
+        "tree,location,message",
+        [case[1:] for case in PARSE_ERRORS],
+        ids=[case[0] for case in PARSE_ERRORS],
+    )
+    def test_error_carries_its_location(self, tree, location, message):
+        with pytest.raises(InstanceParseError) as exc:
+            parse_instance(json.dumps(tree))
+        assert exc.value.location == location
+        assert str(exc.value).startswith(f"{location}: ")
+        assert message in str(exc.value)
+
+    def test_cli_exits_two(self, tmp_path, capsys):
+        _, tree, location, message = next(
+            case for case in PARSE_ERRORS if case[0] == "two-keys-for-one-subset"
+        )
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(tree))
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error[InstanceParseError]" in err
+        assert f"{path}{location[len('instance'):]}: {message}" in err
 
 
 class TestDigest:
@@ -434,6 +511,57 @@ class TestVerifyMalformedReports:
         ok, failures = run_verify(instance, report)
         assert not ok
         assert any("repeated" in f for f in failures)
+
+
+def _extra_trial(**trial):
+    return lambda report: report["certificate"]["trials"].append(trial)
+
+
+def _zero_weight(report):
+    weights = report["mixture"]["weights"]
+    weights.append({"weight": "0", "type": weights[0]["type"]})
+
+
+# (id, instance text, mutation of its compressed report, every failure).
+# Each added trial or weight changes nothing else the report claims, so the
+# branch it reaches is the only failure; a certificate left without trials
+# also no longer adds up to its aggregate.
+VERIFY_FAILURES = [
+    ("report-not-an-object", CYCLIC_TEXT, None,
+     ["report is not a JSON object"]),
+    ("weight-not-positive", make_text(), _zero_weight,
+     ["mixture entry 2: weight 0 is not positive"]),
+    ("separator-length", CYCLIC_TEXT,
+     lambda report: report["certificate"]["separating"].pop(),
+     ["certificate separating vector has the wrong length"]),
+    ("coordinates-out-of-range", CYCLIC_TEXT, _extra_trial(problem=3, coordinates=[7]),
+     ["trial 3: coordinates out of range"]),
+    ("support-leaves-its-problem", CYCLIC_TEXT, _extra_trial(problem=1, coordinates=[3]),
+     ["trial 3: support is not inside problem 1"]),
+    ("members-disagree", CYCLIC_TEXT,
+     _extra_trial(problem=1, coordinates=[1], members=["b"]),
+     ["trial 3: member labels disagree with coordinates"]),
+    ("no-trials", CYCLIC_TEXT,
+     lambda report: report["certificate"]["trials"].clear(),
+     ["trials do not aggregate to the integer aggregate",
+      "certificate contains no trials"]),
+]
+
+
+@pytest.mark.parametrize(
+    "text,mutate,failures",
+    [case[1:] for case in VERIFY_FAILURES],
+    ids=[case[0] for case in VERIFY_FAILURES],
+)
+def test_verify_failure_branches(text, mutate, failures):
+    instance = parse_instance(text)
+    report = run_check(instance).to_structured()
+    assert run_verify(instance, report) == (True, [])
+    if mutate is None:
+        report = [report]
+    else:
+        mutate(report)
+    assert run_verify(instance, report) == (False, failures)
 
 
 def _get(tree, path):
