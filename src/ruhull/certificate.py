@@ -24,13 +24,14 @@ from typing import Literal, Sequence
 
 from .errors import ValidationError
 from .membership import MixingDistribution, SeparatingVector, test_membership
+# max_over_types stays bound for perfbench/tracing.py, which wraps it here.
 from .model import (
     IndexLayout,
     Rational,
-    RationalTypeSet,
     StochasticChoiceVector,
     Trial,
     TrialSequence,
+    TypeFamily,
     inner,
     make_trial_sequence,
     max_over_types,
@@ -124,7 +125,7 @@ class ViolationCertificate:
 def make_certificate(
     separating: SeparatingVector,
     pi: StochasticChoiceVector,
-    type_set: RationalTypeSet,
+    types: TypeFamily,
     mode: DecompositionMode = "compressed",
 ) -> ViolationCertificate:
     """Run the full pipeline and verify the strict violation before returning."""
@@ -133,7 +134,7 @@ def make_certificate(
     shifted = positivize(separating.direction)
     aggregate = integerize(shifted)
     lhs = Fraction(inner(aggregate, pi.values))
-    rhs = Fraction(max_over_types(aggregate, type_set)[0])
+    rhs = Fraction(types.best_value(aggregate))
     if lhs <= rhs:
         raise ValidationError(f"input does not separate: lhs {lhs} is not above rhs {rhs}")
     trials = decompose_to_trials(aggregate, pi.layout, mode)
@@ -165,13 +166,13 @@ class CheckOutcome:
 
 def decide(
     pi: StochasticChoiceVector,
-    type_set: RationalTypeSet,
+    types: TypeFamily,
     mode: DecompositionMode = "compressed",
 ) -> CheckOutcome:
     """End-to-end decision: mixture, or separating vector upgraded to a certificate."""
-    result = test_membership(pi, type_set)
+    result = test_membership(pi, types)
     if isinstance(result, MixingDistribution):
         return CheckOutcome(mixture=result, certificate=None)
     return CheckOutcome(
-        mixture=None, certificate=make_certificate(result, pi, type_set, mode)
+        mixture=None, certificate=make_certificate(result, pi, types, mode)
     )

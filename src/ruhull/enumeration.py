@@ -11,7 +11,7 @@ Both order families are one engine, ``OrderTypes``. An order ranks classes
 of alternatives best first: single alternatives for a linear order, sets of
 tied alternatives for a weak order. Ranking a class C decides every
 still-undecided problem P that meets C, with the pick C & P. From that one
-definition the engine lists the types, gives a functional's best value over
+definition the engine lists the types, gives a functional's best type over
 them by a subset dynamic program, and decides whether a pattern is a type,
 the last two without listing anything.
 
@@ -22,6 +22,7 @@ canonical type set. Hard caps keep the combinatorics at desk scale.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, LayoutMismatch, ValidationError
@@ -84,15 +85,16 @@ class OrderTypes:
 
     ``types()`` walks the orders as a prefix tree of ranked classes; a class
     holds only alternatives of still-undecided problems, and a prefix that
-    decides every problem yields its pattern and stops. ``best_value(y)`` is
-    the dynamic program of Held and Karp (1962) over the set S of
-    alternatives ranked so far: with f(empty) = 0,
+    decides every problem yields its pattern and stops. ``best(y)`` is the
+    dynamic program of Held and Karp (1962) over the set S of alternatives
+    ranked so far: with f(empty) = 0,
 
         f(S | C) = max over S and C disjoint from S of
                    f(S) + sum of y[pick(P, C & P)] over the P that meet C and miss S,
 
     and the best value is f(universe): O(2^n sum |P|) exact additions for
-    linear orders, O(3^n sum |P|) for weak orders. ``admits(t)`` is
+    linear orders, O(3^n sum |P|) for weak orders. The class ranked last on
+    a best way to each state traces the maximizing type back. ``admits(t)`` is
     Richter's (1966) test: a pattern is a type iff no strict revealed
     preference (its pick over another member of a problem) lies on a cycle
     of the revealed relation (its pick over every member), which the
@@ -124,6 +126,24 @@ class OrderTypes:
                     others = tuple(a for a in base.members if a not in chosen)
                     self._picked[c] = (j, _mask(chosen), chosen, others)
             self._picks.append(picks)
+        # Per class an order can rank: (problem mask, pick) of each problem
+        # it meets. These do not depend on the functional.
+        self._class_picks = [
+            (cls, [(mask, picks[mask & cls]) for mask, picks in zip(self._masks, self._picks)
+                   if (mask & cls) in picks])
+            for cls in self._classes((1 << self._size) - 1)
+        ]
+        # A tie digit per coordinate: its position in its block as a digit
+        # in radix B (the largest block size), the first problem's the most
+        # significant. ``_unit`` = B^problems lies above every sum of digits.
+        layout = self.layout
+        radix = max(p.size for p in layout.problems)
+        last = layout.problem_count - 1
+        self._unit = radix ** layout.problem_count
+        self._digits = [
+            (c - layout.block_offsets[j]) * radix ** (last - j)
+            for c, j in enumerate(layout.coordinate_blocks)
+        ]
 
     def _classes(self, alternatives: int) -> list[int]:
         """The classes an order can rank next among ``alternatives``, as masks."""
@@ -162,28 +182,38 @@ class OrderTypes:
         walk(list(range(len(masks))))
         return make_type_set(map(ChoiceTypeVector, patterns), self.layout)
 
-    def best_value(self, y: Sequence[Rational]) -> Rational:
-        """max over the types R of inner(y, R), exactly; equals max_over_types's value."""
+    def best(self, y: Sequence[Rational]) -> tuple[Rational, ChoiceTypeVector]:
+        """max over the types R of inner(y, R), exactly, and its canonically first
+        maximizer (the largest ``chosen``): the pair ``max_over_types`` returns.
+
+        The dynamic program runs once, on integers: y is scaled to integers,
+        and each coordinate's tie digit is added below the value's unit, so
+        one maximum orders (value, ``chosen``) lexicographically.
+        """
         if len(y) != self.layout.coordinate_count:
             raise LayoutMismatch(
                 f"vector length {len(y)} does not match layout "
                 f"({self.layout.coordinate_count} coordinates)"
             )
+        denom = math.lcm(*(v.denominator for v in y))
+        unit = self._unit
+        weights = [
+            v.numerator * (denom // v.denominator) * unit + digit
+            for v, digit in zip(y, self._digits)
+        ]
+        # Per class: its mask, (problem mask, weight of the pick) of each
+        # problem it meets where that weight is nonzero, and its index.
+        steps = [
+            (cls, [(mask, weights[c]) for mask, c in picks if weights[c]], k)
+            for k, (cls, picks) in enumerate(self._class_picks)
+        ]
         states = 1 << self._size
-        # Per class: (problem mask, y at the pick) of each problem it meets.
-        gains = []
-        for cls in self._classes(states - 1):
-            collected = []
-            for mask, picks in zip(self._masks, self._picks):
-                c = picks.get(mask & cls)
-                if c is not None and y[c]:
-                    collected.append((mask, y[c]))
-            gains.append((cls, collected))
-        best: list[Rational | None] = [None] * states
+        best: list[int | None] = [None] * states
         best[0] = 0
+        last_class = [0] * states  # the class ranked last on a best way to each state
         for ranked in range(states - 1):
             base_value = best[ranked]
-            for cls, collected in gains:
+            for cls, collected, k in steps:
                 if ranked & cls:
                     continue
                 value = base_value
@@ -193,7 +223,28 @@ class OrderTypes:
                 grown = ranked | cls
                 if best[grown] is None or value > best[grown]:
                     best[grown] = value
-        return best[states - 1]
+                    last_class[grown] = k
+        chosen = [-1] * len(self._masks)
+        blocks = self.layout.coordinate_blocks
+        ranked = states - 1
+        while ranked:
+            cls, picks = self._class_picks[last_class[ranked]]
+            ranked ^= cls
+            for mask, c in picks:
+                if not mask & ranked:
+                    chosen[blocks[c]] = c
+        value = best[states - 1] // unit
+        return (value if denom == 1 else Fraction(value, denom)), ChoiceTypeVector(tuple(chosen))
+
+    def best_value(self, y: Sequence[Rational]) -> Rational:
+        """max over the types R of inner(y, R), exactly; equals max_over_types's value."""
+        return self.best(y)[0]
+
+    def single_type(self) -> ChoiceTypeVector | None:
+        """The family's type when it has exactly one (every problem has one pick), else None."""
+        if any(len(picks) != 1 for picks in self._picks):
+            return None
+        return ChoiceTypeVector(tuple(next(iter(picks.values())) for picks in self._picks))
 
     def admits(self, t: ChoiceTypeVector) -> bool:
         """Whether some order of the family picks ``t.chosen[j]`` in every problem j."""

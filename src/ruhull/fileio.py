@@ -52,15 +52,15 @@ from .lifting import (
     singleton_choice_data,
     singleton_types,
 )
+# max_over_types stays bound for perfbench/tracing.py, which wraps it here.
 from .model import (
     ChoiceProblem,
-    ChoiceTypeVector,
     ChoiceUniverse,
     IndexLayout,
-    Rational,
     RationalTypeSet,
     StochasticChoiceVector,
     Trial,
+    TypeFamily,
     build_layout,
     inner,
     make_type_vector,
@@ -382,23 +382,18 @@ def _types_on(instance: Instance, lifted: LiftedLayout | None) -> RationalTypeSe
     return singleton_types(instance.type_set, lifted)
 
 
-def _type_checks(
-    instance: Instance, lifted: LiftedLayout | None
-) -> tuple[Callable[[ChoiceTypeVector], bool], Callable[[Sequence[int]], Rational]]:
-    """(is a type admissible, best value of a functional over the types) on
-    the layout a report used: the instance's own, or ``lifted``.
+def _family(instance: Instance, lifted: LiftedLayout | None) -> TypeFamily:
+    """The instance's types on the layout a report uses: its own, or ``lifted``.
 
-    Linear and weak orders are decided by ``OrderTypes`` without listing
-    them; explicit rows by lookup in, and a scan of, the listed types.
+    Linear and weak orders are an ``OrderTypes`` engine, which lists
+    nothing; explicit rows are their listed set.
     """
     if isinstance(instance.types, str):
-        engine = OrderTypes(
+        return OrderTypes(
             instance.layout if lifted is None else lifted,
             ties=instance.types == "weak-orders",
         )
-        return engine.admits, engine.best_value
-    type_set = _types_on(instance, lifted)
-    return set(type_set.types).__contains__, lambda y: max_over_types(y, type_set)[0]
+    return _types_on(instance, lifted)
 
 
 @dataclass(frozen=True)
@@ -513,11 +508,8 @@ def run_check(
     restricted: bool = False,
 ) -> ResultReport:
     """Decide rationalizability end to end; optionally also the restricted axiom."""
-    if restricted:
-        lifted, pi, type_set = lifted_view(instance)
-    else:
-        pi, type_set = instance.pi, instance.type_set
-    outcome = decide(pi, type_set, mode)
+    lifted, pi = _lift(instance) if restricted else (instance.lifted, instance.pi)
+    outcome = decide(pi, _family(instance, lifted), mode)
     return ResultReport(
         instance=instance,
         layout=pi.layout,
@@ -573,13 +565,13 @@ def run_verify(instance: Instance, report: Any) -> tuple[bool, list[str]]:
             return False, [f"the report claims a lifted layout: {exc}"]
     else:
         lifted, pi = instance.lifted, instance.pi
-    admits, best_value = _type_checks(instance, lifted)
+    types = _family(instance, lifted)
 
     verdict = report.get("verdict")
     if verdict == "rationalizable":
-        failures = _verify_mixture(report.get("mixture"), pi, admits)
+        failures = _verify_mixture(report.get("mixture"), pi, types)
     elif verdict == "not-rationalizable":
-        failures = _verify_certificate(report.get("certificate"), pi, best_value)
+        failures = _verify_certificate(report.get("certificate"), pi, types)
     else:
         return False, [f"unknown verdict {_show(verdict, repr)}"]
 
@@ -624,9 +616,7 @@ def _ints(value: Any) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _verify_mixture(
-    mixture: Any, pi: StochasticChoiceVector, admits: Callable[[ChoiceTypeVector], bool]
-) -> list[str]:
+def _verify_mixture(mixture: Any, pi: StochasticChoiceVector, types: TypeFamily) -> list[str]:
     if not isinstance(mixture, dict) or not isinstance(
         mixture.get("weights"), (list, tuple)
     ):
@@ -648,7 +638,7 @@ def _verify_mixture(
         except (KeyError, ValueError):
             failures.append(f"mixture entry {k}: malformed type")
             continue
-        if not admits(typ):
+        if not types.admits(typ):
             failures.append(f"mixture entry {k}: type is not in the admissible set")
             continue
         if weight <= 0:
@@ -665,11 +655,7 @@ def _verify_mixture(
     return failures
 
 
-def _verify_certificate(
-    cert: Any,
-    pi: StochasticChoiceVector,
-    best_value: Callable[[Sequence[int]], Rational],
-) -> list[str]:
+def _verify_certificate(cert: Any, pi: StochasticChoiceVector, types: TypeFamily) -> list[str]:
     if not isinstance(cert, dict):
         return ["non-rationalizable report lacks a certificate"]
     layout = pi.layout
@@ -692,7 +678,7 @@ def _verify_certificate(
         return ["certificate separating vector has the wrong length"]
 
     failures: list[str] = []
-    gap = inner(separating, pi.values) - best_value(separating)
+    gap = inner(separating, pi.values) - types.best_value(separating)
     if gap != claimed_gap:
         failures.append(
             f"separating gap is {_show(gap)}, report claims {_show(claimed_gap)}"
@@ -739,7 +725,7 @@ def _verify_certificate(
         failures.append("certificate contains no trials")
         return failures
     check_lhs = inner(rebuilt, pi.values)
-    check_rhs = best_value(rebuilt)
+    check_rhs = types.best_value(rebuilt)
     if check_lhs != lhs:
         failures.append(f"lhs is {_show(check_lhs)}, report claims {_show(lhs)}")
     if check_rhs != rhs:

@@ -19,6 +19,12 @@ the gap is unchanged; the separator is nonnegative, and so is already the
 vector the certificate pipeline positivizes. A one-type set needs no LP: its
 separator is +-1 on the first coordinate where the data differs from the
 type, shifted and scaled the same way.
+
+The LP lists no columns. Each simplex iteration asks the type family for
+its best type under the current row prices (``enumeration.OrderTypes`` by
+its dynamic program, so no stage lists the n! orders), and the family's
+canonical tie-break makes that the column a scan of the listed types would
+enter: the pivots, mixtures and separators are the same either way.
 """
 
 from __future__ import annotations
@@ -26,14 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from .errors import LayoutMismatch
 from .exactlp import FeasiblePoint, solve_equality_feasibility
+# max_over_types is not called here but stays bound: perfbench/tracing.py
+# wraps it in every module that imports it.
 from .model import (
     ChoiceTypeVector,
     IndexLayout,
-    RationalTypeSet,
     StochasticChoiceVector,
+    TypeFamily,
     inner,
     max_over_types,
     primitive_integers,
@@ -77,7 +86,7 @@ class SeparatingVector:
 
 
 def test_membership(
-    pi: StochasticChoiceVector, type_set: RationalTypeSet
+    pi: StochasticChoiceVector, types: TypeFamily
 ) -> MixingDistribution | SeparatingVector:
     """Decide pi in co(types) exactly.
 
@@ -85,16 +94,15 @@ def test_membership(
     SeparatingVector with strictly positive gap. Exactly one of the two is
     possible for valid inputs.
     """
-    if pi.layout != type_set.layout:
+    if pi.layout != types.layout:
         raise LayoutMismatch("choice data and type set use different layouts")
     layout = pi.layout
-    types = type_set.types
     n_coords = layout.coordinate_count
     blocks = [layout.block_range(j) for j in range(layout.problem_count)]
     y = [Fraction(0)] * n_coords
 
-    if len(types) == 1:
-        only = types[0]
+    only = types.single_type()
+    if only is not None:
         picked = set(only.chosen)
         diff = [v - int(k in picked) for k, v in enumerate(pi.values)]
         if not any(diff):
@@ -103,24 +111,14 @@ def test_membership(
         i = next(k for k, d in enumerate(diff) if d)
         y[i] = Fraction(1 if diff[i] > 0 else -1)
     else:
-        # Nonzeros of one row per coordinate but the last of its block, then
-        # of the convexity row.
+        # One row per coordinate but the last of its block, then the
+        # convexity row.
         kept = [i for block in blocks for i in block[:-1]]
-        row_of = [-1] * n_coords
-        for r, i in enumerate(kept):
-            row_of[i] = r
-        ones = [(k, 1) for k in range(len(types))]
-        rows = [[] for _ in kept]
-        for entry, t in zip(ones, types):
-            for i in t.chosen:
-                if row_of[i] >= 0:
-                    rows[row_of[i]].append(entry)
-        rows.append(ones)
         rhs = [pi.values[i] for i in kept] + [Fraction(1)]
-        result = solve_equality_feasibility(rows, rhs, len(types))
+        result = solve_equality_feasibility(_TypeColumns(types, kept, n_coords), rhs)
         if isinstance(result, FeasiblePoint):
-            weights = tuple((types[k], w) for k, w in enumerate(result.x) if w != 0)
-            return MixingDistribution(layout, weights)
+            used = sorted(result.x.items(), key=lambda tw: tw[0].chosen, reverse=True)
+            return MixingDistribution(layout, tuple((t, w) for t, w in used if w != 0))
         for i, v in zip(kept, result.y):
             y[i] = v
 
@@ -129,8 +127,39 @@ def test_membership(
         for i in block:
             y[i] -= low
     direction = primitive_integers(y)
-    best, _ = max_over_types(direction, type_set)
-    gap = inner(direction, pi.values) - best
+    gap = inner(direction, pi.values) - types.best_value(direction)
     if gap <= 0:
         raise AssertionError("infeasible system produced a non-separating direction")
     return SeparatingVector(direction, gap)
+
+
+class _TypeColumns:
+    """The membership LP's matrix as a column oracle over the type family.
+
+    The column of type R has a 1 in the row of each kept coordinate R picks
+    and in the convexity row; the family's best type for the row prices,
+    placed on their coordinates, is the best column, and the family's
+    canonical order is the column order.
+    """
+
+    def __init__(self, types: TypeFamily, kept: list[int], n_coords: int):
+        self.types = types
+        self.kept = kept
+        self.n_coords = n_coords
+        self.row_of = [-1] * n_coords
+        for r, i in enumerate(kept):
+            self.row_of[i] = r
+
+    def __len__(self) -> int:
+        return len(self.kept) + 1
+
+    def best(self, u: Sequence[int]) -> tuple[int, ChoiceTypeVector]:
+        y = [0] * self.n_coords
+        for i, v in zip(self.kept, u):
+            y[i] = v
+        value, t = self.types.best(y)
+        return value + u[-1], t
+
+    def column(self, t: ChoiceTypeVector) -> list[tuple[int, int]]:
+        rows = [self.row_of[i] for i in t.chosen]
+        return [(r, 1) for r in rows if r >= 0] + [(len(self.kept), 1)]

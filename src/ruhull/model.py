@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Protocol, Sequence, Union
 
 from . import _kernels
 from .errors import LayoutMismatch, ValidationError
@@ -268,6 +268,47 @@ class RationalTypeSet:
 
     def __len__(self) -> int:
         return len(self.types)
+
+    # ``TypeFamily``: a scan of the listed types and a set lookup.
+
+    def best(self, y: Sequence[Rational]) -> tuple[Rational, ChoiceTypeVector]:
+        return max_over_types(y, self)
+
+    def best_value(self, y: Sequence[Rational]) -> Rational:
+        return max_over_types(y, self)[0]
+
+    def admits(self, t: ChoiceTypeVector) -> bool:
+        return t in self._members
+
+    def single_type(self) -> ChoiceTypeVector | None:
+        return self.types[0] if len(self.types) == 1 else None
+
+    @cached_property
+    def _members(self) -> frozenset[ChoiceTypeVector]:
+        return frozenset(self.types)
+
+
+class TypeFamily(Protocol):
+    """The admissible types on a layout, asked rather than listed.
+
+    ``RationalTypeSet`` answers by a scan of its listed types and
+    ``enumeration.OrderTypes`` by a dynamic program over orders; both break
+    ties to the canonically first type, so every answer is the same.
+    """
+
+    layout: IndexLayout
+
+    def best(self, y: Sequence[Rational]) -> tuple[Rational, ChoiceTypeVector]:
+        """max over the types R of inner(y, R), and the canonically first maximizer."""
+
+    def best_value(self, y: Sequence[Rational]) -> Rational:
+        """max over the types R of inner(y, R)."""
+
+    def admits(self, t: ChoiceTypeVector) -> bool:
+        """Whether ``t`` is one of the types."""
+
+    def single_type(self) -> ChoiceTypeVector | None:
+        """The only type when there is exactly one, else None."""
 
 
 def make_type_set(

@@ -191,6 +191,46 @@ class TestEngineAgainstBruteForce:
             assert engine.admits(t) == (t in known), t.chosen
 
 
+def _universe_size(name):
+    return BASE[name].universe.size if name in BASE else LIFTED[name].base_universe.size
+
+
+# Linear orders up to 6 alternatives, weak orders up to 4.
+BEST_FAMILIES = [(name, ties) for name, ties in FAMILIES if _universe_size(name) <= (4 if ties else 6)]
+
+
+def _tie_heavy_functionals(rng, layout):
+    """Functionals with many maximizers: zero, 0/1, constant per block, one nonzero."""
+    n = layout.coordinate_count
+    out = [[0] * n, [1] * n, [rng.randint(0, 1) for _ in range(n)]]
+    per_block = [rng.randint(-3, 3) for _ in range(layout.problem_count)]
+    out.append([per_block[j] for j in layout.coordinate_blocks])
+    for i in rng.sample(range(n), min(n, 4)):
+        y = [0] * n
+        y[i] = rng.choice([-2, -1, 1, Fraction(1, 3)])
+        out.append(y)
+    return out
+
+
+@pytest.mark.parametrize("name,ties", BEST_FAMILIES)
+def test_best_is_the_scan_s_first_maximizer(name, ties):
+    # The simplex enters the canonically first best type, so ties decide
+    # the pivots: ``best`` must break them as the scan of the listed types does.
+    engine, layout, expected = _brute_force(name, ties)
+    rng = seeded(f"best:{name}:{ties}")
+    n = layout.coordinate_count
+    functionals = _tie_heavy_functionals(rng, layout)
+    functionals += [_random_functional(rng, n, fractions) for fractions in (False, True) * 6]
+    for y in functionals:
+        assert engine.best(y) == max_over_types(y, expected), y
+
+
+@pytest.mark.parametrize("name,ties", FAMILIES)
+def test_single_type_is_the_only_type(name, ties):
+    engine, _, expected = _brute_force(name, ties)
+    assert engine.single_type() == (expected.types[0] if len(expected) == 1 else None)
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_rank_assignments_give_every_weak_order_once(n):
     # The brute force's reference: distinct rank patterns are the weak orders.
@@ -343,21 +383,35 @@ PLANTED = [
 ]
 
 
-def _nine_alternative_instance():
-    """Pairwise data of a planted mixture over nine alternatives."""
-    problems = list(combinations(NINE, 2))
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+
+
+def _planted_tree(n):
+    """Pairwise data over n alternatives of the planted mixture, restricted to them."""
+    labels = NINE[:n]
+    problems = list(combinations(labels, 2))
     probabilities = []
     for a, b in problems:
         p = sum(Fraction(w) for w, order in PLANTED if order.index(a) < order.index(b))
         probabilities.append([str(p), str(1 - p)])
-    tree = {
-        "universe": list(NINE),
+    return {
+        "universe": list(labels),
         "problems": [list(p) for p in problems],
         "probabilities": probabilities,
         "types": "linear-orders",
         "set_valued": False,
     }
-    return parse_instance(json.dumps(tree)), problems
+
+
+def _nine_alternative_instance():
+    """Pairwise data of a planted mixture over nine alternatives."""
+    text = (FIXTURES / "nine_alternatives_planted.json").read_text()
+    return parse_instance(text), list(combinations(NINE, 2))
+
+
+def test_nine_alternative_fixture_is_the_planted_mixture():
+    text = (FIXTURES / "nine_alternatives_planted.json").read_text()
+    assert json.loads(text) == _planted_tree(9)
 
 
 def _pattern_bits(problems, better):
@@ -398,13 +452,15 @@ def test_nine_alternative_mixture_verifies_without_enumeration(monkeypatch):
     assert "mixture entry 0: type is not in the admissible set" in failures
 
 
+CYCLE = {("a", "b"): "a", ("b", "c"): "b", ("a", "c"): "c"}
+
+
 def test_nine_alternative_certificate_verifies_without_enumeration(monkeypatch):
     # Data choosing a over b, b over c and c over a for sure: the three
     # queries collect 3, and no linear order collects more than 2.
     problems = list(combinations(NINE, 2))
-    cycle = {("a", "b"): "a", ("b", "c"): "b", ("a", "c"): "c"}
     probabilities = [
-        ["1", "0"] if cycle.get(p, p[0]) == p[0] else ["0", "1"] for p in problems
+        ["1", "0"] if CYCLE.get(p, p[0]) == p[0] else ["0", "1"] for p in problems
     ]
     tree = {
         "universe": list(NINE),
@@ -417,7 +473,7 @@ def test_nine_alternative_certificate_verifies_without_enumeration(monkeypatch):
     separating = []
     trials = []
     for j, (a, b) in enumerate(problems):
-        picked = cycle.get((a, b))
+        picked = CYCLE.get((a, b))
         separating += [int(picked == a), int(picked == b)]
         if picked is not None:
             coordinate = 2 * j + (picked == b)
@@ -447,6 +503,34 @@ def test_nine_alternative_certificate_verifies_without_enumeration(monkeypatch):
     report["certificate"]["rhs"] = "3"
     ok, failures = run_verify(instance, report)
     assert failures == ["rhs is 2, report claims 3"]
+
+
+def _cycle_tree(n):
+    """The planted data, but choosing a over b, b over c and c over a for sure."""
+    tree = _planted_tree(n)
+    for k, (a, b) in enumerate(tree["problems"]):
+        if (a, b) in CYCLE:
+            tree["probabilities"][k] = ["1", "0"] if CYCLE[a, b] == a else ["0", "1"]
+    return tree
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("data", ["planted", "cycle"])
+def test_check_does_not_enumerate(n, data, monkeypatch):
+    # The membership LP asks the engine for the best order on every pivot,
+    # so check lists no orders, plainly, canonically or restricted.
+    if data == "cycle":
+        instance = parse_instance(json.dumps(_cycle_tree(n)))
+    elif n == 9:
+        instance = _nine_alternative_instance()[0]
+    else:
+        instance = parse_instance(json.dumps(_planted_tree(n)))
+    _forbid_enumeration(monkeypatch)
+    for mode, restricted in (("compressed", False), ("canonical", False), ("compressed", True)):
+        report = run_check(instance, mode, restricted)
+        assert report.outcome.rationalizable == (data == "planted")
+        ok, failures = run_verify(instance, json.loads(json.dumps(report.to_structured())))
+        assert ok, failures
 
 
 @pytest.mark.parametrize("command", ["check", "verify"])
