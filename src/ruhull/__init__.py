@@ -42,6 +42,7 @@ from .facets import (
 )
 from .lifting import (
     LiftedLayout,
+    RestrictedArsp,
     check_restricted_arsp,
     lift_layout,
     lift_set_valued_data,

@@ -185,6 +185,9 @@ def _double_description(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         for kp in plus:
             for km in minus:
                 common = masks[kp] & masks[km]
+                # Adjacent rays share dim - 2 independent zero constraints.
+                if common.bit_count() < dim - 2:
+                    continue
                 adjacent = True
                 for other in range(len(rays)):
                     if other != kp and other != km and masks[other] & common == common:

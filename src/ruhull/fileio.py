@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -46,9 +47,11 @@ from .enumeration import (
 from .errors import CapExceeded, InstanceParseError, ValidationError
 from .lifting import (
     LiftedLayout,
+    RestrictedArsp,
     check_restricted_arsp,
     lift_layout,
     lift_set_valued_data,
+    restricted_trials,
     singleton_choice_data,
     singleton_types,
 )
@@ -61,10 +64,12 @@ from .model import (
     StochasticChoiceVector,
     Trial,
     TypeFamily,
+    arsp_check,
     build_layout,
     inner,
     make_type_vector,
     max_over_types,
+    primitive_integers,
     problem_from_labels,
     type_bits,
     validate_pi,
@@ -404,7 +409,11 @@ class ResultReport:
     layout: IndexLayout  # the layout the decision ran on (lifted when applicable)
     flags: dict
     outcome: CheckOutcome
-    restricted_holds: bool | None
+    restricted: RestrictedArsp | None
+
+    @property
+    def restricted_holds(self) -> bool | None:
+        return None if self.restricted is None else self.restricted.holds
 
     @property
     def lifted_used(self) -> bool:
@@ -424,12 +433,7 @@ class ResultReport:
             "verdict": self.verdict,
         }
         if self.outcome.mixture is not None:
-            out["mixture"] = {
-                "weights": [
-                    {"weight": str(w), "type": list(type_bits(t, self.layout))}
-                    for t, w in self.outcome.mixture.weights
-                ]
-            }
+            out["mixture"] = _mixture_tree(self.outcome.mixture.weights, self.layout)
         else:
             cert = self.outcome.certificate
             assert cert is not None
@@ -442,8 +446,17 @@ class ResultReport:
                 "lhs": str(cert.lhs),
                 "rhs": str(cert.rhs),
             }
-        if self.restricted_holds is not None:
-            out["restricted_arsp"] = {"holds": self.restricted_holds}
+        restricted = self.restricted
+        if restricted is not None:
+            out["restricted_arsp"] = {"holds": restricted.holds}
+            if restricted.mixture:
+                out["restricted_arsp"]["mixture"] = _mixture_tree(restricted.mixture, self.layout)
+            if restricted.trials:
+                trials, counts = zip(*restricted.trials)
+                out["restricted_arsp"]["trials"] = [
+                    {**tree, "count": k}
+                    for tree, k in zip(_trials_tree(trials, self.layout), counts)
+                ]
         return out
 
     def to_text(self) -> str:
@@ -475,6 +488,12 @@ class ResultReport:
             lines.append(f"lhs: {cert.lhs}")
             lines.append(f"rhs: {cert.rhs}")
         return "\n".join(lines) + "\n"
+
+
+def _mixture_tree(weights, layout: IndexLayout) -> dict:
+    return {
+        "weights": [{"weight": str(w), "type": list(type_bits(t, layout))} for t, w in weights]
+    }
 
 
 def _describe_type(t, layout: IndexLayout) -> str:
@@ -515,27 +534,26 @@ def run_check(
         layout=pi.layout,
         flags={"mode": mode, "restricted_arsp": restricted},
         outcome=outcome,
-        restricted_holds=(
-            _restricted_holds(instance, pi, lifted, outcome.rationalizable)
+        restricted=(
+            _restricted_from_verdict(instance, outcome.rationalizable)
+            or check_restricted_arsp(pi, instance.type_set, lifted)
             if restricted
             else None
         ),
     )
 
 
-def _restricted_holds(
-    instance: Instance, pi: StochasticChoiceVector, lifted: LiftedLayout, rationalizable: bool
-) -> bool:
-    """Whether ``pi`` on ``lifted`` satisfies the restricted axiom.
+def _restricted_from_verdict(instance: Instance, rationalizable: bool) -> RestrictedArsp | None:
+    """The restricted axiom's verdict when the full verdict witnesses it, else None.
 
     Rationalizable data satisfies it, since the full axiom implies it. On
     singleton data every query counts only singletons, so the restricted
     axiom is the full one. Only set-valued data that fails the full axiom
-    needs the restricted LP.
+    needs the restricted LP and its own witness.
     """
     if rationalizable or instance.lifted is None:
-        return rationalizable
-    return check_restricted_arsp(pi, instance.type_set, lifted)
+        return RestrictedArsp(rationalizable)
+    return None
 
 
 def run_verify(instance: Instance, report: Any) -> tuple[bool, list[str]]:
@@ -580,12 +598,15 @@ def run_verify(instance: Instance, report: Any) -> tuple[bool, list[str]]:
         if lifted is None:
             failures.append("restricted-axiom claim on an instance that was not lifted")
         elif not isinstance(claim, dict) or not isinstance(claim.get("holds"), bool):
-            failures.append("restricted-axiom claim is not {\"holds\": true|false}")
+            failures.append("restricted-axiom claim is not {\"holds\": true|false, ...}")
         else:
-            actual = _restricted_holds(instance, pi, lifted, verdict == "rationalizable")
-            if actual != claim["holds"]:
+            by_verdict = _restricted_from_verdict(instance, verdict == "rationalizable")
+            if by_verdict is None:
+                failures += _verify_restricted_witness(claim, pi, types, lifted)
+            elif by_verdict.holds != claim["holds"]:
                 failures.append(
-                    f"restricted axiom recomputes to {actual}, report claims {claim['holds']}"
+                    f"the verdict makes the restricted axiom hold={by_verdict.holds}, "
+                    f"report claims {claim['holds']}"
                 )
     return not failures, failures
 
@@ -621,37 +642,121 @@ def _verify_mixture(mixture: Any, pi: StochasticChoiceVector, types: TypeFamily)
         mixture.get("weights"), (list, tuple)
     ):
         return ["rationalizable report lacks a mixture"]
+    combined, failures = _mixture_total(mixture["weights"], pi.layout, types, "mixture")
+    if tuple(combined) != tuple(pi.values):
+        failures.append("mixture does not reconstruct the observed probabilities")
+    return failures
+
+
+def _mixture_total(
+    weights: list | tuple, layout: IndexLayout, types: TypeFamily, name: str
+) -> tuple[list[Fraction], list[str]]:
+    """The weighted sum of a report's mixture entries, and the failures of the
+    entries (admissible types, positive weights summing to 1)."""
     failures: list[str] = []
     total = Fraction(0)
-    combined = [Fraction(0)] * pi.layout.coordinate_count
-    for k, item in enumerate(mixture["weights"]):
+    combined = [Fraction(0)] * layout.coordinate_count
+    for k, item in enumerate(weights):
         if not isinstance(item, dict):
-            failures.append(f"mixture entry {k}: not an object")
+            failures.append(f"{name} entry {k}: not an object")
             continue
         try:
-            weight = parse_rational(item["weight"], f"mixture entry {k}")
+            weight = parse_rational(item["weight"], f"{name} entry {k}")
         except (KeyError, ValueError, ZeroDivisionError):
-            failures.append(f"mixture entry {k}: malformed weight")
+            failures.append(f"{name} entry {k}: malformed weight")
             continue
         try:
-            typ = make_type_vector(_ints(item["type"]), pi.layout)
+            typ = make_type_vector(_ints(item["type"]), layout)
         except (KeyError, ValueError):
-            failures.append(f"mixture entry {k}: malformed type")
+            failures.append(f"{name} entry {k}: malformed type")
             continue
         if not types.admits(typ):
-            failures.append(f"mixture entry {k}: type is not in the admissible set")
+            failures.append(f"{name} entry {k}: type is not in the admissible set")
             continue
         if weight <= 0:
-            failures.append(
-                f"mixture entry {k}: weight {_show(weight)} is not positive"
-            )
+            failures.append(f"{name} entry {k}: weight {_show(weight)} is not positive")
         total += weight
         for i in typ.chosen:
             combined[i] += weight
     if total != 1:
-        failures.append(f"mixture weights sum to {_show(total)}, not 1")
-    if tuple(combined) != tuple(pi.values):
-        failures.append("mixture does not reconstruct the observed probabilities")
+        failures.append(f"{name} weights sum to {_show(total)}, not 1")
+    return combined, failures
+
+
+def _report_trial(item: Any, layout: IndexLayout) -> tuple[int, list[int]]:
+    """The problem and coordinates of a report's trial object, 0-based;
+    ValueError says what is wrong."""
+    try:
+        if not isinstance(item, dict) or type(item["problem"]) is not int:
+            raise ValueError
+        problem = item["problem"] - 1
+        coords = [c - 1 for c in _ints(item["coordinates"])]
+        members = list(map(str, item.get("members", ())))
+    except (KeyError, ValueError, TypeError):
+        raise ValueError("malformed") from None
+    if not coords or min(coords) < 0 or max(coords) >= layout.coordinate_count:
+        raise ValueError("coordinates out of range")
+    if len(set(coords)) != len(coords):
+        raise ValueError("a coordinate is repeated")
+    if set(map(layout.coordinate_blocks.__getitem__, coords)) != {problem}:
+        raise ValueError(f"support is not inside problem {_show(problem + 1)}")
+    if members and members != list(map(layout.coordinate_labels.__getitem__, coords)):
+        raise ValueError("member labels disagree with coordinates")
+    return problem, coords
+
+
+def _verify_restricted_witness(
+    claim: dict, pi: StochasticChoiceVector, types: TypeFamily, lifted: LiftedLayout
+) -> list[str]:
+    """Check the witness of a restricted-axiom claim on set-valued data that
+    fails the full axiom: a dominating mixture if it holds, a violating
+    multiset of restricted trials if not. No LP: one pass over the restricted
+    trials, or one best value."""
+    queries = restricted_trials(lifted)
+    if claim["holds"]:
+        mixture = claim.get("mixture")
+        weights = mixture.get("weights") if isinstance(mixture, dict) else None
+        if not isinstance(weights, (list, tuple)):
+            return ["restricted axiom claimed to hold without a mixture witness"]
+        combined, failures = _mixture_total(weights, pi.layout, types, "restricted mixture")
+        # The mixture's excess over the data, scaled to integers.
+        excess = primitive_integers([m - p for m, p in zip(combined, pi.values)])
+        for t in queries:
+            if sum(map(excess.__getitem__, t.coordinates)) < 0:
+                labels = ",".join(map(pi.layout.coordinate_labels.__getitem__, t.coordinates))
+                failures.append(
+                    f"restricted mixture collects {_show(inner(t, combined))} on problem "
+                    f"{t.block + 1} query {{{labels}}}, below the data's {_show(inner(t, pi))}"
+                )
+                break
+        return failures
+    items = claim.get("trials")
+    if not isinstance(items, (list, tuple)) or not items:
+        return ["restricted axiom claimed to fail without a trial witness"]
+    failures = []
+    restricted = set(queries)
+    aggregate: dict[int, int] = defaultdict(int)
+    for k, item in enumerate(items):
+        try:
+            problem, coords = _report_trial(item, pi.layout)
+            trial = Trial(problem, tuple(sorted(coords)))
+            if trial not in restricted:
+                raise ValueError("does not query all the subsets of one set")
+            count = item.get("count")
+            if type(count) is not int or count <= 0:
+                raise ValueError("count is not a positive integer")
+        except ValueError as exc:
+            failures.append(f"restricted trial {k}: {exc}")
+            continue
+        for c in trial.coordinates:
+            aggregate[c] += count
+    if failures:
+        return failures
+    lhs, rhs, holds = arsp_check(aggregate, pi, types)
+    if holds:
+        failures.append(
+            f"restricted trials collect {_show(lhs)}, not above the best type's {_show(rhs)}"
+        )
     return failures
 
 
@@ -691,31 +796,12 @@ def _verify_certificate(cert: Any, pi: StochasticChoiceVector, types: TypeFamily
     if integerize(positivized) != aggregate:
         failures.append("integer aggregate does not match the pipeline")
 
-    blocks, labels = layout.coordinate_blocks, layout.coordinate_labels
     rebuilt = [0] * n
     for k, item in enumerate(trial_items):
         try:
-            if not isinstance(item, dict) or type(item["problem"]) is not int:
-                raise ValueError
-            problem = item["problem"] - 1
-            coords = [c - 1 for c in _ints(item["coordinates"])]
-            members = list(map(str, item.get("members", ())))
-        except (KeyError, ValueError, TypeError):
-            failures.append(f"trial {k}: malformed")
-            continue
-        if not coords or min(coords) < 0 or max(coords) >= n:
-            failures.append(f"trial {k}: coordinates out of range")
-            continue
-        if len(set(coords)) != len(coords):
-            failures.append(f"trial {k}: a coordinate is repeated")
-            continue
-        if set(map(blocks.__getitem__, coords)) != {problem}:
-            failures.append(
-                f"trial {k}: support is not inside problem {_show(problem + 1)}"
-            )
-            continue
-        if members and members != list(map(labels.__getitem__, coords)):
-            failures.append(f"trial {k}: member labels disagree with coordinates")
+            _, coords = _report_trial(item, layout)
+        except ValueError as exc:
+            failures.append(f"trial {k}: {exc}")
             continue
         for c in coords:
             rebuilt[c] += 1
@@ -724,13 +810,12 @@ def _verify_certificate(cert: Any, pi: StochasticChoiceVector, types: TypeFamily
     if not any(rebuilt):
         failures.append("certificate contains no trials")
         return failures
-    check_lhs = inner(rebuilt, pi.values)
-    check_rhs = types.best_value(rebuilt)
+    check_lhs, check_rhs, holds = arsp_check(dict(enumerate(rebuilt)), pi, types)
     if check_lhs != lhs:
         failures.append(f"lhs is {_show(check_lhs)}, report claims {_show(lhs)}")
     if check_rhs != rhs:
         failures.append(f"rhs is {_show(check_rhs)}, report claims {_show(rhs)}")
-    if not check_lhs > check_rhs:
+    if holds:
         failures.append("trial sequence does not strictly violate the axiom")
     return failures
 

@@ -12,13 +12,15 @@ types onto the lifted layout.
 
 Also provided is the weaker, historically used trial family that may only
 query "a set together with all its subsets" inside one problem, and an exact
-decision procedure for the axiom restricted to that family. The restricted
-axiom is implied by full rationalizability but does not imply it; see the
-tests for a two-alternative instance witnessing the gap.
+decision procedure for the axiom restricted to that family, with a witness
+either way. The restricted axiom is implied by full rationalizability but
+does not imply it; see the tests for a two-alternative instance witnessing
+the gap.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,6 +40,7 @@ from .model import (
     build_layout,
     inner,
     make_type_set,
+    primitive_integers,
     to_rational,
     validate_pi,
 )
@@ -216,31 +219,67 @@ def restricted_trials(lifted: LiftedLayout) -> tuple[Trial, ...]:
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class RestrictedArsp:
+    """The restricted axiom's verdict and, from the restricted LP, its witness.
+
+    When the axiom holds, ``mixture`` lists (type, weight) pairs, weights
+    positive and summing to 1, whose total on every restricted trial is at
+    least the data's: then every multiset of restricted trials collects under
+    the data at most what the mixture collects, so at most what its best type
+    does (Ville's theorem). When it fails, ``trials`` lists (trial, count)
+    pairs, a multiset of restricted trials that collects strictly more under
+    the data than any type. Both are empty when the full verdict witnesses
+    the axiom (rationalizable data, or singleton data, where the restricted
+    axiom is the full one).
+    """
+
+    holds: bool
+    mixture: tuple[tuple[ChoiceTypeVector, Fraction], ...] = ()
+    trials: tuple[tuple[Trial, int], ...] = ()
+
+
 def check_restricted_arsp(
     pi: StochasticChoiceVector,
     type_set: RationalTypeSet,
     lifted: LiftedLayout,
-) -> bool:
+) -> RestrictedArsp:
     """Decide the axiom quantified over the restricted trial family only.
 
-    True iff every finite multiset of restricted trials satisfies the
-    inequality. Scaling reduces the quantifier over integer multiplicities to
-    nonnegative rational weights, so a violation exists iff the system
+    It fails iff some finite multiset of restricted trials violates the
+    inequality. Scaling reduces integer multiplicities to nonnegative
+    rational weights y, so it fails iff there are y >= 0 and a value v with
 
-        sum_s y_s * (T_s . pi - T_s . R) >= 1  for every type R,   y >= 0
+        v - sum of y_s over the trials s holding R's pick >= 1  for every type R,
+        v = sum_s y_s * (T_s . pi),
 
-    is feasible; this is decided exactly.
+    solved exactly as equalities with a surplus column per type. A feasible
+    point's y, scaled to integers, is the violating multiset. Otherwise the
+    Farkas multipliers u_R of the type rows are >= 0 (surplus columns) with
+    positive sum, and the v column bounds the value row's multiplier, so
+    u / sum(u) is a mixture dominating the data on every restricted trial.
     """
     if pi.layout != lifted.layout or type_set.layout != lifted.layout:
         raise LayoutMismatch("data, types and lifted layout must agree")
     trials = restricted_trials(lifted)
-    trial_pi = [inner(t, pi) for t in trials]
-    n_trials = len(trials)
-    n_types = len(type_set.types)
-    rows = []  # row r: the nonzero margins of type r, then its surplus column
-    for r, typ in enumerate(type_set.types):
-        margins = (p - (typ.chosen[t.block] in t.coordinates) for p, t in zip(trial_pi, trials))
-        rows.append([(s, m) for s, m in enumerate(margins) if m] + [(n_trials + r, -1)])
-    rhs = [Fraction(1)] * n_types
-    result = solve_equality_feasibility(rows, rhs, n_trials + n_types)
-    return not isinstance(result, FeasiblePoint)
+    types = type_set.types
+    # Columns: v, then y_s (column s + 1), then surplus_R.
+    holding = defaultdict(list)  # coordinate -> columns of the trials querying it
+    for s, t in enumerate(trials, start=1):
+        for c in t.coordinates:
+            holding[c].append(s)
+    surplus = len(trials) + 1
+    rows = [
+        [(0, 1)] + [(s, -1) for c in typ.chosen for s in holding[c]] + [(surplus + r, -1)]
+        for r, typ in enumerate(types)
+    ]
+    value_row = [(s, -inner(t, pi)) for s, t in enumerate(trials, start=1)]
+    rows.append([(0, 1)] + [(s, v) for s, v in value_row if v])
+    result = solve_equality_feasibility(rows, [1] * len(types) + [0], surplus + len(types))
+    if isinstance(result, FeasiblePoint):
+        counts = primitive_integers(result.x[1:surplus])
+        return RestrictedArsp(False, trials=tuple((t, k) for t, k in zip(trials, counts) if k))
+    total = sum(result.y[: len(types)])
+    return RestrictedArsp(
+        True, mixture=tuple((t, u / total) for t, u in zip(types, result.y) if u)
+    )

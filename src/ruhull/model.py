@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Protocol, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence, Union
 
 from . import _kernels
 from .errors import LayoutMismatch, ValidationError
@@ -459,23 +459,31 @@ class ArspResult(NamedTuple):
 
 
 def arsp_check(
-    sequence: TrialSequence,
+    aggregate: Mapping[int, int] | TrialSequence,
     pi: StochasticChoiceVector,
-    type_set: RationalTypeSet,
+    types: TypeFamily,
 ) -> ArspResult:
-    """Check one trial sequence against the revealed-preference inequality.
+    """Check one trial multiset against the revealed-preference inequality.
 
-    lhs is the total choice probability the sequence collects under ``pi``;
-    rhs is the best total any single type achieves. The sequence passes when
-    lhs <= rhs. Depends on the sequence only through its aggregate, so it is
-    invariant under reordering the trial multiset.
+    ``aggregate`` maps coordinates to how many trials query them (a
+    ``TrialSequence`` stands for its aggregate). lhs is the total choice
+    probability the trials collect under ``pi``; rhs is the best total any
+    single type achieves, one ``types.best_value``. The multiset passes when
+    lhs <= rhs. Depends on the trials only through their aggregate, so it is
+    invariant under reordering them.
     """
-    if pi.layout != type_set.layout:
+    if pi.layout != types.layout:
         raise LayoutMismatch("choice data and type set use different layouts")
-    if len(sequence.aggregate) != pi.layout.coordinate_count:
-        raise LayoutMismatch("trial sequence does not match layout")
-    if not sequence.trials:
-        return ArspResult(Fraction(0), Fraction(0), True)
-    lhs = inner(sequence.aggregate, pi.values)
-    rhs, _ = max_over_types(sequence.aggregate, type_set)
+    n = pi.layout.coordinate_count
+    if isinstance(aggregate, TrialSequence):
+        if len(aggregate.aggregate) != n:
+            raise LayoutMismatch("trial sequence does not match layout")
+        aggregate = dict(enumerate(aggregate.aggregate))
+    dense = [0] * n
+    for c, k in aggregate.items():
+        if not 0 <= c < n:
+            raise LayoutMismatch(f"aggregate coordinate {c} lies outside the layout")
+        dense[c] = k
+    lhs = inner(dense, pi.values)
+    rhs = types.best_value(dense)
     return ArspResult(lhs, rhs, lhs <= rhs)

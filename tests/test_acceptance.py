@@ -208,7 +208,7 @@ def test_criterion_6_restricted_axiom_gap():
         lifted = lift_layout(universe, problems)
         ts = correspondence_types_from_linear_orders(universe, problems, lifted)
         pi = lift_set_valued_data([{("a", "b"): 1}], lifted)
-        assert check_restricted_arsp(pi, ts, lifted) is True
+        assert check_restricted_arsp(pi, ts, lifted).holds is True
         assert isinstance(membership.test_membership(pi, ts), SeparatingVector)
 
 

@@ -272,6 +272,25 @@ class TestDeterminism:
 
 
 UNNORMALIZED = pathlib.Path(__file__).resolve().parent / "fixtures" / "unnormalized_reports"
+BARE_CLAIMS = pathlib.Path(__file__).resolve().parent / "fixtures" / "bare_restricted_claims"
+# A restricted-axiom claim on set-valued data that fails the full axiom must
+# carry its witness: a bare {"holds": true} could only be checked by solving
+# the restricted LP, which verify does not do.
+BARE_CLAIM_FAILURE = "restricted axiom claimed to hold without a mixture witness"
+
+
+def _bare_restricted_claim(report):
+    return report.get("restricted_arsp") == {"holds": True} and report["lifted"] and (
+        report["verdict"] == "not-rationalizable"
+    )
+
+
+def _verify_exits(instance_path, report_path, capsys, failures):
+    ok = not failures
+    assert main(["verify", str(instance_path), str(report_path)]) == (0 if ok else 2)
+    out = capsys.readouterr().out
+    assert f"verified: {'true' if ok else 'false'}" in out
+    assert all(f in out for f in failures)
 
 
 @pytest.mark.parametrize(
@@ -279,11 +298,25 @@ UNNORMALIZED = pathlib.Path(__file__).resolve().parent / "fixtures" / "unnormali
 )
 def test_reports_with_negative_separators_still_verify(report_path, capsys):
     # Reports written before separators were shifted to block minimum 0: the
-    # separator has negative entries and positivize shifts it.
+    # separator has negative entries and positivize shifts it. The restricted
+    # whole_set_chooser reports were also written before the restricted axiom
+    # carried a witness: their bare claim is their only failure.
     report = json.loads(report_path.read_text())
     assert min(report["certificate"]["separating"]) < 0
     instance_path = SAMPLES / f"{report_path.name.split('.')[0]}.json"
-    ok, failures = run_verify(load_instance(str(instance_path)), report)
-    assert ok, failures
-    assert main(["verify", str(instance_path), str(report_path)]) == 0
-    assert "verified: true" in capsys.readouterr().out
+    failures = [BARE_CLAIM_FAILURE] if _bare_restricted_claim(report) else []
+    assert run_verify(load_instance(str(instance_path)), report) == (not failures, failures)
+    _verify_exits(instance_path, report_path, capsys, failures)
+
+
+@pytest.mark.parametrize(
+    "report_path", sorted(BARE_CLAIMS.glob("*.json")), ids=lambda p: p.stem
+)
+def test_bare_restricted_claims_are_rejected(report_path, capsys):
+    # The whole_set_chooser goldens as check wrote them before the restricted
+    # axiom carried a witness: the rest of the report still verifies.
+    report = json.loads(report_path.read_text())
+    assert _bare_restricted_claim(report)
+    instance_path = SAMPLES / f"{report_path.name.split('.')[0]}.json"
+    assert run_verify(load_instance(str(instance_path)), report) == (False, [BARE_CLAIM_FAILURE])
+    _verify_exits(instance_path, report_path, capsys, [BARE_CLAIM_FAILURE])

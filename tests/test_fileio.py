@@ -1,6 +1,7 @@
 import copy
 import json
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -325,6 +326,24 @@ class TestRunCheckAndVerify:
         assert not ok
 
 
+def _set_valued_text(probabilities):
+    return json.dumps({
+        "universe": ["a", "b"],
+        "problems": [["a", "b"]],
+        "probabilities": [probabilities],
+        "types": "linear-orders",
+        "set_valued": True,
+    })
+
+
+# Neither is a mixture of linear orders (they never pick {a,b} or {}). On
+# the first the restricted axiom holds, witnessed by 1/2 on each order, with
+# equality on the query "subsets of {a}"; on the second the query "subsets of
+# {}" violates it. Block coordinates: {}, {a}, {b}, {a,b}.
+RESTRICTED_HOLDS_TEXT = _set_valued_text({"a": "1/2", "a,b": "1/2"})
+RESTRICTED_FAILS_TEXT = _set_valued_text({"": "1/2", "a": "1/2"})
+
+
 def _good_reports():
     """(instance, structured report) for every sample, plus restricted runs."""
     out = []
@@ -333,6 +352,9 @@ def _good_reports():
         out.append((instance, run_check(instance).to_structured()))
         if instance.set_valued:
             out.append((instance, run_check(instance, restricted=True).to_structured()))
+    for text in (RESTRICTED_HOLDS_TEXT, RESTRICTED_FAILS_TEXT):
+        instance = parse_instance(text)
+        out.append((instance, run_check(instance, restricted=True).to_structured()))
     return out
 
 
@@ -348,7 +370,11 @@ JSON_LEAVES = (
 JSON_VALUES = st.recursive(
     JSON_LEAVES,
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from(["weight", "type", "holds", "x"]), inner, max_size=3),
+    | st.dictionaries(
+        st.sampled_from(["weight", "type", "holds", "weights", "trials", "count", "x"]),
+        inner,
+        max_size=3,
+    ),
     max_leaves=6,
 )
 
@@ -605,3 +631,122 @@ class TestLiftedInstanceTree:
         assert lifted_tree["types"] == [[0, 1, 0, 0]]
         relifted = parse_instance(json.dumps(lifted_tree))
         assert run_check(instance).verdict == run_check(relifted).verdict
+
+ONLY_A, ONLY_B = [0, 1, 0, 0], [0, 0, 1, 0]
+
+
+def _restricted(**fields):
+    return lambda report: report["restricted_arsp"].update(fields)
+
+
+def _restricted_weights(*weights):
+    return _restricted(mixture={"weights": [{"weight": w, "type": t} for w, t in weights]})
+
+
+def _restricted_trials(*trials):
+    return _restricted(trials=[
+        {"problem": 1, "coordinates": coords, "count": count} for coords, count in trials
+    ])
+
+
+def _without(key):
+    return lambda report: report["restricted_arsp"].pop(key)
+
+
+# (id, instance text, mutation of its compressed restricted report, every
+# failure). Each witness as check writes it verifies; each broken one fails
+# with exactly these messages.
+RESTRICTED_FAILURES = [
+    ("negative-weight", RESTRICTED_HOLDS_TEXT,
+     _restricted_weights(("3/2", ONLY_B), ("-1/2", ONLY_A)),
+     ["restricted mixture entry 1: weight -1/2 is not positive",
+      "restricted mixture collects -1/2 on problem 1 query {{},{a}}, below the data's 1/2"]),
+    ("weights-sum-below-1", RESTRICTED_HOLDS_TEXT,
+     _restricted_weights(("1/3", ONLY_B), ("1/2", ONLY_A)),
+     ["restricted mixture weights sum to 5/6, not 1",
+      "restricted mixture collects 5/6 on problem 1 query {{},{a},{b},{a,b}}, "
+      "below the data's 1"]),
+    ("type-not-admitted", RESTRICTED_HOLDS_TEXT,
+     _restricted_weights(("1/2", [0, 0, 0, 1]), ("1/2", ONLY_A)),
+     ["restricted mixture entry 0: type is not in the admissible set",
+      "restricted mixture weights sum to 1/2, not 1",
+      "restricted mixture collects 1/2 on problem 1 query {{},{a},{b},{a,b}}, "
+      "below the data's 1"]),
+    ("misses-one-query-by-1/6", RESTRICTED_HOLDS_TEXT,
+     _restricted_weights(("2/3", ONLY_B), ("1/3", ONLY_A)),
+     ["restricted mixture collects 1/3 on problem 1 query {{},{a}}, below the data's 1/2"]),
+    ("malformed-weight", RESTRICTED_HOLDS_TEXT,
+     _restricted_weights(("1/0", ONLY_B), (0.5, ONLY_A)),
+     ["restricted mixture entry 0: malformed weight",
+      "restricted mixture entry 1: malformed weight",
+      "restricted mixture weights sum to 0, not 1",
+      "restricted mixture collects 0 on problem 1 query {{},{a}}, below the data's 1/2"]),
+    ("oversized-weights", RESTRICTED_HOLDS_TEXT,
+     _restricted_weights((f"1/{10**3000 + 1}", ONLY_A), (f"1/{10**3000 + 3}", ONLY_A)),
+     ["restricted mixture weights sum to <9967-bit / 19932-bit fraction>, not 1",
+      "restricted mixture collects <9967-bit / 19932-bit fraction> on problem 1 query "
+      "{{},{a}}, below the data's 1/2"]),
+    ("weights-not-a-list", RESTRICTED_HOLDS_TEXT, _restricted(mixture={"weights": 5}),
+     ["restricted axiom claimed to hold without a mixture witness"]),
+    ("holds-with-trials", RESTRICTED_HOLDS_TEXT,
+     lambda report: report["restricted_arsp"].update(
+         holds=True, trials=[{"problem": 1, "coordinates": [1], "count": 1}]
+     ) or report["restricted_arsp"].pop("mixture"),
+     ["restricted axiom claimed to hold without a mixture witness"]),
+    ("bare-holds-claim", RESTRICTED_HOLDS_TEXT, _without("mixture"),
+     ["restricted axiom claimed to hold without a mixture witness"]),
+    ("fails-with-mixture", RESTRICTED_HOLDS_TEXT, _restricted(holds=False),
+     ["restricted axiom claimed to fail without a trial witness"]),
+    ("bare-fails-claim", RESTRICTED_FAILS_TEXT, _without("trials"),
+     ["restricted axiom claimed to fail without a trial witness"]),
+    ("holds-contradicts-trials", RESTRICTED_FAILS_TEXT, _restricted(holds=True),
+     ["restricted axiom claimed to hold without a mixture witness"]),
+    ("not-all-subsets", RESTRICTED_FAILS_TEXT, _restricted_trials(([1, 4], 1)),
+     ["restricted trial 0: does not query all the subsets of one set"]),
+    ("does-not-violate", RESTRICTED_FAILS_TEXT, _restricted_trials(([1, 2, 3, 4], 2)),
+     ["restricted trials collect 2, not above the best type's 2"]),
+    ("count-not-positive", RESTRICTED_FAILS_TEXT,
+     _restricted_trials(([1], 0), ([1, 2], True), ([1, 3], 1.0), ([1, 2], "1")),
+     ["restricted trial 0: count is not a positive integer",
+      "restricted trial 1: count is not a positive integer",
+      "restricted trial 2: count is not a positive integer",
+      "restricted trial 3: count is not a positive integer"]),
+    ("trial-malformed", RESTRICTED_FAILS_TEXT,
+     _restricted(trials=[5, {"problem": 1, "coordinates": [1]}, {"problem": 1, "count": 1}]),
+     ["restricted trial 0: malformed",
+      "restricted trial 1: count is not a positive integer",
+      "restricted trial 2: malformed"]),
+    ("oversized-problem", RESTRICTED_FAILS_TEXT,
+     _restricted(trials=[{"problem": 10**5000, "coordinates": [1], "count": 1}]),
+     ["restricted trial 0: support is not inside problem <16610-bit integer>"]),
+    ("trials-empty", RESTRICTED_FAILS_TEXT, _restricted(trials=[]),
+     ["restricted axiom claimed to fail without a trial witness"]),
+    ("claim-not-an-object", RESTRICTED_FAILS_TEXT,
+     lambda report: report.update(restricted_arsp=[False]),
+     ['restricted-axiom claim is not {"holds": true|false, ...}']),
+]
+
+
+@pytest.mark.parametrize(
+    "text,mutate,failures",
+    [case[1:] for case in RESTRICTED_FAILURES],
+    ids=[case[0] for case in RESTRICTED_FAILURES],
+)
+def test_restricted_witness_failures(text, mutate, failures, tmp_path, capsys):
+    instance = parse_instance(text)
+    report = run_check(instance, restricted=True).to_structured()
+    assert run_verify(instance, report) == (True, [])
+    mutate(report)
+    assert run_verify(instance, report) == (False, failures)
+    (tmp_path / "instance.json").write_text(text)
+    # An integer of over 4300 digits needs the limit lifted to be written;
+    # verify's JSON reader refuses it, which is a failure too.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        (tmp_path / "report.json").write_text(json.dumps(report))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert main(["verify", str(tmp_path / "instance.json"), str(tmp_path / "report.json")]) == 2
+    out, err = capsys.readouterr()
+    assert "verified: false" in out or "error[InstanceParseError]" in err

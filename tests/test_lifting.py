@@ -142,7 +142,7 @@ class TestRestrictedAxiomGap:
         universe, problems, lifted = pair_lift
         ts = correspondence_types_from_linear_orders(universe, problems, lifted)
         pi = lift_set_valued_data([{("a", "b"): 1}], lifted)
-        assert check_restricted_arsp(pi, ts, lifted) is True
+        assert check_restricted_arsp(pi, ts, lifted).holds is True
         result = membership.test_membership(pi, ts)
         assert isinstance(result, SeparatingVector)
 
@@ -153,7 +153,7 @@ class TestRestrictedAxiomGap:
             [{("a",): Fraction(1, 4), ("a", "b"): Fraction(3, 4)}], lifted
         )
         assert isinstance(membership.test_membership(pi, ts), MixingDistribution)
-        assert check_restricted_arsp(pi, ts, lifted) is True
+        assert check_restricted_arsp(pi, ts, lifted).holds is True
 
     def test_empty_choice_needs_empty_friendly_types(self, pair_lift):
         universe, problems, lifted = pair_lift
@@ -171,7 +171,7 @@ class TestRestrictedAxiomGap:
         ts = correspondence_types_from_weak_orders(universe, problems, lifted)
         pi = random_rational_pi(lifted.layout, rng, max_numerator=3)
         if isinstance(membership.test_membership(pi, ts), MixingDistribution):
-            assert check_restricted_arsp(pi, ts, lifted) is True
+            assert check_restricted_arsp(pi, ts, lifted).holds is True
 
 
 class TestSingletonRecovery:
@@ -200,7 +200,7 @@ class TestSingletonRecovery:
             membership.test_membership(lifted_pi, lifted_ts), MixingDistribution
         )
         assert base_verdict == lifted_verdict
-        assert check_restricted_arsp(lifted_pi, lifted_ts, lifted) == base_verdict
+        assert check_restricted_arsp(lifted_pi, lifted_ts, lifted).holds == base_verdict
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
@@ -234,7 +234,7 @@ class TestSingletonRecovery:
         report = run_check(instance, restricted=True)
         lifted, lifted_pi, lifted_ts = lifted_view(instance)
         assert report.restricted_holds == report.outcome.rationalizable
-        assert check_restricted_arsp(lifted_pi, lifted_ts, lifted) == report.restricted_holds
+        assert check_restricted_arsp(lifted_pi, lifted_ts, lifted).holds == report.restricted_holds
         ok, failures = run_verify(instance, report.to_structured())
         assert ok, failures
 
