@@ -3,7 +3,10 @@
 Reports are promised to be byte-identical across runs and refactors; these
 goldens enforce it for ``check`` in both formats, both decomposition modes and
 with and without the restricted axiom, and for ``enumerate-types`` and
-``facets`` in both formats and ``lift``, which print types as 0/1 rows. After
+``facets`` in both formats and ``lift``, which print types as 0/1 rows. Two
+larger fixtures, all subsets of size >= 2 over six alternatives (planted and
+random data), pin structured ``check`` reports, plain and restricted, where
+the LP has hundreds of rows. After
 a deliberate change to an output format, regenerate them with
 ``PYTHONPATH=src python tests/test_golden_reports.py`` and review the diff.
 """
@@ -18,6 +21,7 @@ from ruhull.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "instances"
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 CASES = [
@@ -28,6 +32,12 @@ CASES = [
         ("compressed", "canonical"),
         (False, True),
     )
+]
+
+FIXTURE_CASES = [
+    (f"six_alternatives_all_subsets_{data}.json", restricted)
+    for data in ("planted", "random")
+    for restricted in (False, True)
 ]
 
 SUBCOMMAND_CASES = [
@@ -43,8 +53,8 @@ SUBCOMMAND_CASES = [
 ]
 
 
-def _argv(name, fmt, mode, restricted):
-    argv = ["check", str(SAMPLES / name), "--format", fmt, "--mode", mode]
+def _argv(name, fmt, mode, restricted, folder=SAMPLES):
+    argv = ["check", str(folder / name), "--format", fmt, "--mode", mode]
     return argv + ["--restricted-arsp"] if restricted else argv
 
 
@@ -71,6 +81,16 @@ def test_check_stdout_matches_golden(name, fmt, mode, restricted, capsys):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("name,restricted", FIXTURE_CASES)
+def test_fixture_check_stdout_matches_golden(name, restricted, capsys):
+    code = main(_argv(name, "structured", "compressed", restricted, FIXTURES))
+    assert code in (0, 3)
+    expected = _golden_path(name, "structured", "compressed", restricted).read_text(
+        encoding="utf-8"
+    )
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("name,command,fmt", SUBCOMMAND_CASES)
 def test_subcommand_stdout_matches_golden(name, command, fmt, capsys):
     assert main(_subcommand_argv(name, command, fmt)) == 0
@@ -86,6 +106,13 @@ def _regenerate():
     runs = [(_argv(*case), _golden_path(*case)) for case in CASES] + [
         (_subcommand_argv(*case), _subcommand_golden_path(*case))
         for case in SUBCOMMAND_CASES
+    ]
+    runs += [
+        (
+            _argv(name, "structured", "compressed", restricted, FIXTURES),
+            _golden_path(name, "structured", "compressed", restricted),
+        )
+        for name, restricted in FIXTURE_CASES
     ]
     for argv, path in runs:
         buf = io.StringIO()
