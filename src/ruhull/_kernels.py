@@ -7,7 +7,8 @@
   the elimination step of the facets row reduction.
 
 All three are exact: they operate on Python ints and ``Fraction`` values and
-never convert to floating point. Zero entries are skipped so that exact
+never convert to floating point. Zero entries are skipped, or not stored at
+all (``bareiss_row`` acts on ``{column: value}`` rows), so that exact
 arithmetic only pays for nonzero work (pivot blocks and 0/1 vectors are
 sparse in practice). Callers look the kernels up on this module at call time
 (``_kernels.dot(...)``), so a profiler can wrap them in one place.
@@ -43,19 +44,30 @@ def best_support(t, supports):
 
 
 def bareiss_row(row, pivot_row, coeff, pivot, divisor):
-    """Fraction-free elimination step, in place on an integer row.
+    """Fraction-free elimination step, in place on a sparse integer row.
 
-    row[j] = (row[j] * pivot - coeff * pivot_row[j]) / divisor, where the
-    division is exact by the pivoting invariant (entries are minors); a
-    nonzero remainder means corrupted input and raises.
+    Rows are ``{column: nonzero}`` dicts. Sets row = (row * pivot - coeff *
+    pivot_row) / divisor, dropping the entries that become zero; the
+    division is exact by the pivoting invariant (entries are minors), so a
+    nonzero remainder means corrupted input and raises. With ``coeff`` 0
+    and an empty ``pivot_row`` the step only rescales the row by
+    pivot / divisor.
     """
-    for j, p in enumerate(pivot_row):
-        v = row[j] * pivot - coeff * p
-        if v:
-            q, r = divmod(v, divisor)
-            if r:
-                raise ArithmeticError("inexact division in fraction-free pivot")
-            row[j] = q
-        else:
-            row[j] = 0
-
+    new = {}
+    if coeff:
+        pop = row.pop
+        for j, p in pivot_row.items():
+            v = pop(j, 0) * pivot - coeff * p
+            if v:
+                q, r = divmod(v, divisor)
+                if r:
+                    raise ArithmeticError("inexact division in fraction-free pivot")
+                new[j] = q
+    # What is left of the row lies off the pivot row's support: only scaled.
+    for j, v in row.items():
+        q, r = divmod(v * pivot, divisor)
+        if r:
+            raise ArithmeticError("inexact division in fraction-free pivot")
+        new[j] = q
+    row.clear()
+    row.update(new)

@@ -10,9 +10,9 @@ Every row is first oriented so its right-hand side is nonnegative and scaled
 to integers; listed structural columns are then stored sparsely, as their
 nonzero entries. One artificial variable per row starts basic. The simplex
 keeps only the m x (m + 1) block [B^-1 | beta] of the tableau (B the basis,
-beta the basic values) together with the objective row restricted to those
-columns; a structural column of the tableau is rebuilt on demand as
-B^-1 a_j.
+beta the basic values), as sparse rows, together with the objective row
+restricted to those columns; a structural column of the tableau is rebuilt
+on demand as B^-1 a_j.
 
 Each iteration asks for the best structural column against the duals w:
 the objective entry of artificial i is its reduced cost 1 - w_i, so the
@@ -30,19 +30,35 @@ entering rule. Artificial columns are never priced, so an artificial that
 leaves the basis never returns; this does not change feasibility (a feasible
 point uses no artificials).
 
-The kept block is fraction-free: a pivot applies the two-term determinant
-update
+The kept block is fraction-free and sparse. Row i of [B^-1 | beta] is a
+``{column: nonzero}`` dict (beta under key m) with its own scale s_i: its
+stored entries are its true rational values times s_i, the divisor in force
+when the row was last updated. With D the current divisor (the previous
+pivot, 1 at the start), a pivot on entering column a and leaving row r
 
-    row[k] <- (row[k] * pivot - d * pivot_row[k]) / divisor
+* computes the entering entry d_i of every row (B^-1 a, row by row);
+* brings the pivot row up to D, row_r <- row_r * D / s_r (skipped when
+  s_r = D), which makes its entering entry the pivot p = d_r * D / s_r;
+* updates every other row whose d_i is nonzero with the two-term
+  determinant step
 
-to every other row and to the objective row, with d the row's entry in the
-entering column (rebuilt, or priced for the objective row) and ``divisor``
-the previous pivot (the pivot row itself stays put). Entries then equal the true rational
-values times the current positive divisor; the division is exact because
-they are minors of the scaled [A | I | b], and everything runs on plain
-integers. The duals w, the rebuilt column and the priced values carry the
-same factor, so every sign test and ratio comparison sees true values scaled
-by one positive constant and the pivot rules are unaffected.
+      row_i <- (row_i * p - d_i * row_r) / s_i,
+
+  and the objective row, kept at scale D, with its priced entry;
+* sets the scale of the updated rows and of the pivot row to p, and D to p.
+
+A row whose d_i is zero is not touched: its true values do not change, so
+it keeps its stored entries and its older scale, and a row that no column
+ever touches (a coordinate no type picks) is never updated. Every division
+is exact. A dense fraction-free update (Bareiss 1968) stores every cell as
+its true value times the current divisor, a minor of the scaled [A | I | b]
+and so an integer; the rescale yields the pivot row's dense cells at D, and
+the update yields row i's dense cells at p, so both quotients are those
+integers. The duals w and the priced values carry the factor D, and the
+ratio test compares each row of [beta | B^-1] with its own entering entry
+(both carry s_i), so every sign test and ratio comparison sees true values
+times a positive constant: the pivots, bases, points and Farkas multipliers
+are those of the dense update, and everything runs on plain integers.
 
 At the end the objective value is zero (a basic feasible point whose support
 columns are linearly independent) or positive (the duals w / divisor, mapped
@@ -200,57 +216,84 @@ def _phase_one(b: list[int], price, column):
     rows) when it is not.
     """
     m = len(b)
-    block = []  # row i: [scaled B^-1 row i | scaled beta_i]
-    for i, bi in enumerate(b):
-        unit = [0] * (m + 1)
-        unit[i] = 1
-        unit[m] = bi
-        block.append(unit)
+    # Row i: {column: nonzero} of [scaled B^-1 row i | scaled beta_i], beta
+    # under key m, stored at scale[i] times its true values.
+    block = [{i: 1, m: bi} if bi else {i: 1} for i, bi in enumerate(b)]
+    scale = [1] * m
 
-    # Objective row of "minimize the sum of artificials" on the kept columns:
-    # artificial reduced costs start at 0 and the rhs cell is the negated
-    # objective value (both times the divisor, which starts at 1).
-    obj = [0] * m + [-sum(b)]
+    # Objective row of "minimize the sum of artificials" on the kept columns,
+    # stored at the current divisor: artificial reduced costs start at 0 and
+    # the rhs cell is the negated objective value.
+    obj = {m: -sum(b)} if any(b) else {}
     basis: list[Hashable | None] = [None] * m  # structural column basic in each row; None: its artificial
     divisor = 1
 
     while True:
-        w = [divisor - v for v in obj[:m]]
+        w = [divisor - obj.get(i, 0) for i in range(m)]
         best, entering = price(w)
         if best <= 0:
             break
 
-        nonzeros = column(entering)
-        col = [sum(r[i] * v for i, v in nonzeros) for r in block]
-        leaving = -1
-        for i in range(m):
-            if col[i] > 0 and (leaving < 0 or _lex_less(block, col, i, leaving, m)):
-                leaving = i
-        if leaving < 0:
-            # Cannot happen: the Phase-I objective is bounded below by zero.
-            raise AssertionError("phase-I simplex reported an unbounded column")
+        a: dict[int, int] = {}
+        for i, v in column(entering):
+            a[i] = a.get(i, 0) + v
+        col = {}  # row -> nonzero entering entry, at that row's scale
+        for k, row in enumerate(block):
+            # row . a over the shorter of the two.
+            small, large = (row, a) if len(row) < len(a) else (a, row)
+            d = 0
+            for i, v in small.items():
+                e = large.get(i)
+                if e:
+                    d += e * v
+            if d:
+                col[k] = d
+        leaving = _leaving_row(block, col, m)
 
         prow = block[leaving]
-        pivot = col[leaving]
-        for i in range(m):
-            if i != leaving:
-                _kernels.bareiss_row(block[i], prow, col[i], pivot, divisor)
+        pivot = col.pop(leaving)
+        if scale[leaving] != divisor:
+            _kernels.bareiss_row(prow, {}, 0, divisor, scale[leaving])
+            pivot = pivot * divisor // scale[leaving]
+        for k, d in col.items():
+            _kernels.bareiss_row(block[k], prow, d, pivot, scale[k])
+            scale[k] = pivot
         _kernels.bareiss_row(obj, prow, -best, pivot, divisor)
+        scale[leaving] = pivot
         divisor = pivot
         basis[leaving] = entering
 
-    if obj[m] == 0:  # objective value is -obj[m] / divisor
-        point = [(j, Fraction(r[m], divisor)) for j, r in zip(basis, block) if j is not None]
+    if not obj.get(m):  # objective value is -obj[m] / divisor
+        point = [
+            (j, Fraction(row.get(m, 0), s))
+            for j, row, s in zip(basis, block, scale)
+            if j is not None
+        ]
         return point, None
     return None, [Fraction(wi, divisor) for wi in w]
 
 
-def _lex_less(block, col, a: int, b: int, m: int) -> bool:
-    """Whether row a of [beta | B^-1] / col[a] is lexicographically below row b's."""
-    ra, rb, ca, cb = block[a], block[b], col[a], col[b]
-    for k in (m, *range(m)):
-        lhs = ra[k] * cb
-        rhs = rb[k] * ca
+def _leaving_row(block, col: dict[int, int], m: int) -> int:
+    """The lexicographic ratio test over the rows with a positive entering entry."""
+    leaving = -1
+    for k, c in col.items():
+        if c > 0 and (leaving < 0 or _lex_less(block[k], c, block[leaving], col[leaving], m)):
+            leaving = k
+    if leaving < 0:
+        # Cannot happen: the Phase-I objective is bounded below by zero.
+        raise AssertionError("phase-I simplex reported an unbounded column")
+    return leaving
+
+
+def _lex_less(ra: dict, ca: int, rb: dict, cb: int, m: int) -> bool:
+    """Whether [beta | B^-1] row ra / ca is lexicographically below rb / cb."""
+    lhs = ra.get(m, 0) * cb
+    rhs = rb.get(m, 0) * ca
+    if lhs != rhs:
+        return lhs < rhs
+    for k in sorted(ra.keys() | rb.keys()):
+        lhs = ra.get(k, 0) * cb
+        rhs = rb.get(k, 0) * ca
         if lhs != rhs:
             return lhs < rhs
     raise AssertionError("basis inverse has proportional rows")

@@ -74,15 +74,18 @@ def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     Returns the nonzero rows and their pivot columns. Each row is the
     rational RREF row times one common nonzero pivot d (the last pivot
     entry, a signed minor of the input), so every pivot entry equals d.
-    Rows are updated with ``bareiss_row``; divisions are exact. A row that
-    is all zero stays so, and is dropped rather than updated again.
+    Rows are held as ``{column: nonzero}`` dicts and updated with
+    ``bareiss_row``; divisions are exact. A row that is all zero stays so,
+    and is dropped rather than updated again.
     """
-    mat = [list(r) for r in rows if any(r)]
+    width = len(rows[0]) if rows else 0
+    mat = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    mat = [r for r in mat if r]
     pivots: list[int] = []
     rank = 0
     divisor = 1
-    for col in range(len(mat[0]) if mat else 0):
-        pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+    for col in range(width):
+        pivot_row = next((i for i in range(rank, len(mat)) if col in mat[i]), None)
         if pivot_row is None:
             continue
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
@@ -90,12 +93,12 @@ def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         pivot = prow[col]
         for i, row in enumerate(mat):
             if i != rank:
-                _kernels.bareiss_row(row, prow, row[col], pivot, divisor)
+                _kernels.bareiss_row(row, prow, row.get(col, 0), pivot, divisor)
         divisor = pivot
         pivots.append(col)
         rank += 1
-        mat[rank:] = [row for row in mat[rank:] if any(row)]
-    return mat[:rank], pivots
+        mat[rank:] = [row for row in mat[rank:] if row]
+    return [[row.get(j, 0) for j in range(width)] for row in mat[:rank]], pivots
 
 
 def _affine_hull(

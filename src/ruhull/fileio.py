@@ -783,7 +783,8 @@ def _verify_certificate(cert: Any, pi: StochasticChoiceVector, types: TypeFamily
         return ["certificate separating vector has the wrong length"]
 
     failures: list[str] = []
-    gap = inner(separating, pi.values) - types.best_value(separating)
+    best = types.best_value(separating)
+    gap = inner(separating, pi.values) - best
     if gap != claimed_gap:
         failures.append(
             f"separating gap is {_show(gap)}, report claims {_show(claimed_gap)}"
@@ -793,7 +794,8 @@ def _verify_certificate(cert: Any, pi: StochasticChoiceVector, types: TypeFamily
     positivized = positivize(separating)
     if positivized != claimed_pos:
         failures.append("positivized vector does not match the pipeline")
-    if integerize(positivized) != aggregate:
+    pipeline = integerize(positivized) == aggregate
+    if not pipeline:
         failures.append("integer aggregate does not match the pipeline")
 
     rebuilt = [0] * n
@@ -810,7 +812,18 @@ def _verify_certificate(cert: Any, pi: StochasticChoiceVector, types: TypeFamily
     if not any(rebuilt):
         failures.append("certificate contains no trials")
         return failures
-    check_lhs, check_rhs, holds = arsp_check(dict(enumerate(rebuilt)), pi, types)
+    aggregate_best = None
+    if pipeline and tuple(rebuilt) == aggregate:
+        # The trials aggregate to k * (separating + shift) for some k > 0,
+        # and every type picks one coordinate per problem, so their best
+        # value follows from the separator's without a second search.
+        shift = positivized[0] - separating[0]
+        c = next(i for i, v in enumerate(positivized) if v)
+        k = Fraction(aggregate[c]) / positivized[c]
+        aggregate_best = k * (best + shift * layout.problem_count)
+    check_lhs, check_rhs, holds = arsp_check(
+        dict(enumerate(rebuilt)), pi, types, aggregate_best
+    )
     if check_lhs != lhs:
         failures.append(f"lhs is {_show(check_lhs)}, report claims {_show(lhs)}")
     if check_rhs != rhs:

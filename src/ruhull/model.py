@@ -462,13 +462,15 @@ def arsp_check(
     aggregate: Mapping[int, int] | TrialSequence,
     pi: StochasticChoiceVector,
     types: TypeFamily,
+    best: Rational | None = None,
 ) -> ArspResult:
     """Check one trial multiset against the revealed-preference inequality.
 
     ``aggregate`` maps coordinates to how many trials query them (a
     ``TrialSequence`` stands for its aggregate). lhs is the total choice
     probability the trials collect under ``pi``; rhs is the best total any
-    single type achieves, one ``types.best_value``. The multiset passes when
+    single type achieves: ``best`` when the caller has already derived it
+    exactly, else one ``types.best_value``. The multiset passes when
     lhs <= rhs. Depends on the trials only through their aggregate, so it is
     invariant under reordering them.
     """
@@ -485,5 +487,5 @@ def arsp_check(
             raise LayoutMismatch(f"aggregate coordinate {c} lies outside the layout")
         dense[c] = k
     lhs = inner(dense, pi.values)
-    rhs = types.best_value(dense)
+    rhs = types.best_value(dense) if best is None else best
     return ArspResult(lhs, rhs, lhs <= rhs)

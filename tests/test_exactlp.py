@@ -13,7 +13,7 @@ from ruhull import (
     membership,
     types_from_linear_orders,
 )
-from ruhull import _kernels
+from ruhull import _kernels, exactlp
 from ruhull.errors import ValidationError
 from ruhull.exactlp import (
     FarkasCertificate,
@@ -205,26 +205,221 @@ def test_degenerate_systems_terminate(data):
         assert isinstance(result, FeasiblePoint)
 
 
-def test_pivot_updates_every_row_once(monkeypatch):
-    # One pivot eliminates in the m - 1 other rows of [B^-1 | beta] and in the
-    # objective row: m fraction-free row updates of width m + 1 each.
-    widths = []
-    original = _kernels.bareiss_row
+# --- the dense reference ---------------------------------------------------
+#
+# The same simplex with a dense fraction-free block: every pivot updates all
+# m x (m + 1) cells of [B^-1 | beta], all at the current divisor. It makes
+# its pivot choices by the same rules, so the sparse engine must reproduce
+# its pivots and its exact points and multipliers.
 
-    def counted(row, pivot_row, coeff, pivot, divisor):
-        widths.append(len(pivot_row))
-        return original(row, pivot_row, coeff, pivot, divisor)
 
-    monkeypatch.setattr(_kernels, "bareiss_row", counted)
+def _dense_bareiss_row(row, pivot_row, coeff, pivot, divisor):
+    for j, p in enumerate(pivot_row):
+        q, r = divmod(row[j] * pivot - coeff * p, divisor)
+        assert r == 0
+        row[j] = q
+
+
+def _dense_lex_less(block, col, a, b, m):
+    ra, rb, ca, cb = block[a], block[b], col[a], col[b]
+    for k in (m, *range(m)):
+        lhs = ra[k] * cb
+        rhs = rb[k] * ca
+        if lhs != rhs:
+            return lhs < rhs
+    raise AssertionError("basis inverse has proportional rows")
+
+
+def dense_phase_one(b, price, column, pivots):
+    """Reference ``_phase_one``; appends (entering, leaving, rows hit) per pivot.
+
+    "Rows hit" counts the rows other than the leaving one whose entry in
+    the entering column is nonzero.
+    """
+    m = len(b)
+    block = [[int(i == k) for k in range(m)] + [bi] for i, bi in enumerate(b)]
+    obj = [0] * m + [-sum(b)]
+    basis = [None] * m
+    divisor = 1
+    while True:
+        w = [divisor - v for v in obj[:m]]
+        best, entering = price(w)
+        if best <= 0:
+            break
+        nonzeros = column(entering)
+        col = [sum(r[i] * v for i, v in nonzeros) for r in block]
+        leaving = -1
+        for i in range(m):
+            if col[i] > 0 and (leaving < 0 or _dense_lex_less(block, col, i, leaving, m)):
+                leaving = i
+        assert leaving >= 0
+        hit = sum(1 for i in range(m) if i != leaving and col[i])
+        pivots.append((entering, leaving, hit))
+        prow = block[leaving]
+        pivot = col[leaving]
+        for i in range(m):
+            if i != leaving:
+                _dense_bareiss_row(block[i], prow, col[i], pivot, divisor)
+        _dense_bareiss_row(obj, prow, -best, pivot, divisor)
+        divisor = pivot
+        basis[leaving] = entering
+    if obj[m] == 0:
+        point = [(j, Fraction(r[m], divisor)) for j, r in zip(basis, block) if j is not None]
+        return point, None
+    return None, [Fraction(wi, divisor) for wi in w]
+
+
+class MatrixOracle:
+    """A dense integer matrix seen as a ``ColumnOracle`` (keys: column indices)."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def best(self, u):
+        values = [
+            sum(ui * row[j] for ui, row in zip(u, self.rows)) for j in range(len(self.rows[0]))
+        ]
+        best = max(values)
+        return best, values.index(best)
+
+    def column(self, j):
+        return [(i, row[j]) for i, row in enumerate(self.rows) if row[j]]
+
+
+def solve_any(rows, rhs, oracle):
+    if oracle:
+        return solve_equality_feasibility(MatrixOracle(rows), rhs)
+    return solve(rows, rhs)
+
+
+def solve_dense(rows, rhs, oracle=False):
+    """The reference's result and its (entering, leaving, rows hit) pivots."""
+    pivots = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            exactlp, "_phase_one", lambda b, price, column: dense_phase_one(b, price, column, pivots)
+        )
+        return solve_any(rows, rhs, oracle), pivots
+
+
+def solve_sparse(rows, rhs, oracle=False, events=None):
+    """The engine's result and its pivots, recorded like the reference's.
+
+    With ``events``, also logs "price" before each pricing and the
+    (coeff, pivot row) arguments of each ``bareiss_row`` call.
+    """
+    pivots = []
+    entering = []
+    phase_one = exactlp._phase_one
+    leaving_row = exactlp._leaving_row
+    kernel = _kernels.bareiss_row
+
+    def recorded_phase_one(b, price, column):
+        def priced(w):
+            if events is not None:
+                events.append("price")
+            best, key = price(w)
+            entering.append(key)
+            return best, key
+
+        return phase_one(b, priced, column)
+
+    def recorded_leaving_row(block, col, m):
+        leaving = leaving_row(block, col, m)
+        pivots.append((entering[-1], leaving, len(col) - 1))
+        return leaving
+
+    def recorded_kernel(row, pivot_row, coeff, pivot, divisor):
+        events.append((coeff, dict(pivot_row)))
+        return kernel(row, pivot_row, coeff, pivot, divisor)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlp, "_phase_one", recorded_phase_one)
+        mp.setattr(exactlp, "_leaving_row", recorded_leaving_row)
+        if events is not None:
+            mp.setattr(_kernels, "bareiss_row", recorded_kernel)
+        return solve_any(rows, rhs, oracle), pivots
+
+
+@st.composite
+def sparse_systems(draw):
+    """Small systems with untouched rows, zero and negative right-hand sides,
+    duplicated (degenerate) rows and columns, and rational entries."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, 0, 0, 1, 1, -1, 2, -3])
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=m - 1)):
+        rows[i] = [0] * n  # a row that no column touches
+    if draw(st.booleans()):  # degenerate: repeated rows and columns
+        rows = [rows[i] for i in draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=7))]
+        picks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+        rows = [[row[j] for j in picks] for row in rows]
+    kind = draw(st.sampled_from(["zero", "small", "negative", "planted", "rational"]))
+    if kind == "zero":
+        rhs = [0] * len(rows)
+    elif kind == "small":
+        rhs = [draw(st.integers(-2, 2)) for _ in rows]
+    elif kind == "negative":
+        rhs = [draw(st.integers(-4, 0)) for _ in rows]
+    elif kind == "planted":
+        x = [draw(st.sampled_from([0, 0, 1, 2])) for _ in rows[0]]
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+    else:
+        rhs = [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4))) for _ in rows]
+    return rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems(), st.booleans())
+def test_sparse_engine_matches_dense_reference(system, oracle):
+    # Same entering and leaving sequence, same rows hit, and the same exact
+    # point or Farkas multipliers, for listed rows and for a ColumnOracle.
+    rows, rhs = system
+    expected, expected_pivots = solve_dense(rows, rhs, oracle)
+    result, pivots = solve_sparse(rows, rhs, oracle)
+    assert pivots == expected_pivots
+    assert result == expected
+    if not oracle:
+        check_result(rows, rhs, result)
+
+
+def test_pivot_updates_only_the_rows_it_touches():
+    # Per pivot: one bareiss_row call for each other row with a nonzero
+    # entering entry, one for the objective row, and at most one rescale of
+    # the pivot row (zero coefficient, empty pivot row argument). Rows the
+    # entering column misses are not touched.
     rng = seeded(5)
-    for _ in range(30):
-        m, n = rng.randrange(1, 7), rng.randrange(1, 12)
-        rows = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(m)]
+    rescales = skipped = 0
+    for _ in range(60):
+        m, n = rng.randrange(1, 8), rng.randrange(1, 12)
+        rows = [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(n)] for _ in range(m)]
         rhs = [rng.randrange(-4, 5) for _ in range(m)]
-        widths.clear()
-        check_result(rows, rhs, solve(rows, rhs))
-        assert len(widths) % m == 0
-        assert all(w == m + 1 for w in widths)
+        _, expected_pivots = solve_dense(rows, rhs)
+        events = []
+        result, pivots = solve_sparse(rows, rhs, events=events)
+        check_result(rows, rhs, result)
+        assert pivots == expected_pivots
+        per_pivot = []
+        for event in events:
+            if event == "price":
+                per_pivot.append([])
+            else:
+                per_pivot[-1].append(event)
+        assert per_pivot.pop() == []  # the last pricing finds no column
+        assert len(per_pivot) == len(pivots)
+        for calls, (_, _, hit) in zip(per_pivot, pivots):
+            updates = [c for c in calls if c[0]]
+            scalings = [c for c in calls if not c[0]]
+            assert len(updates) == hit + 1
+            assert len(scalings) <= 1 and all(pivot_row == {} for _, pivot_row in scalings)
+            rescales += len(scalings)
+            skipped += m - 1 - hit
+    # Both the rescale and the skip actually happen on these systems.
+    assert rescales > 0 and skipped > 0
 
 
 def _agree_with_facets(layout, type_set, rng, count):
@@ -260,4 +455,21 @@ def test_bareiss_row_rejects_inexact_division():
     # Entries of a fraction-free pivot are minors, so the division is exact;
     # a remainder means the block was corrupted and must not be rounded away.
     with pytest.raises(ArithmeticError, match="inexact division"):
-        _kernels.bareiss_row([1, 1], [1, 0], 1, 1, 3)
+        _kernels.bareiss_row({0: 1, 1: 1}, {0: 1}, 1, 1, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=6),
+    st.integers(-4, 4),
+    st.integers(-4, 4).filter(bool),
+    st.integers(-5, 5).filter(bool),
+)
+def test_bareiss_row_matches_the_dense_step(pairs, coeff, pivot, divisor):
+    # On sparse rows the step stores exactly the nonzeros of the dense step.
+    row = [divisor * a for a, _ in pairs]
+    prow = [divisor * b for _, b in pairs]
+    sparse = {j: v for j, v in enumerate(row) if v}
+    _kernels.bareiss_row(sparse, {j: v for j, v in enumerate(prow) if v}, coeff, pivot, divisor)
+    _dense_bareiss_row(row, prow, coeff, pivot, divisor)
+    assert sparse == {j: v for j, v in enumerate(row) if v}

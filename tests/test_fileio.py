@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from ruhull import (
     InstanceParseError,
+    OrderTypes,
+    RationalTypeSet,
     parse_instance,
     parse_rational,
     run_check,
@@ -296,6 +298,60 @@ class TestRunCheckAndVerify:
         structured["certificate"]["lhs"] = "4"
         ok, failures = run_verify(instance, structured)
         assert not ok
+
+    @pytest.mark.parametrize(
+        "types", ["linear-orders", [[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]]]
+    )
+    def test_certificate_takes_one_best_value(self, types, monkeypatch):
+        # The trials' best value follows from the separator's once the
+        # pipeline checks pass, so verify searches the types once.
+        tree = json.loads(CYCLIC_TEXT)
+        tree["types"] = types
+        instance = parse_instance(json.dumps(tree))
+        report = run_check(instance).to_structured()
+        assert report["verdict"] == "not-rationalizable"
+        calls = []
+        for cls in (OrderTypes, RationalTypeSet):
+            original = cls.best_value
+
+            def counted(self, y, original=original):
+                calls.append(tuple(y))
+                return original(self, y)
+
+            monkeypatch.setattr(cls, "best_value", counted)
+        ok, failures = run_verify(instance, report)
+        assert ok, failures
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "claims,failures",
+        [
+            # The report's own claims, which fit the pipeline's multiset.
+            (
+                {},
+                [
+                    "lhs is 1, report claims 3",
+                    "rhs is 1, report claims 2",
+                    "trial sequence does not strictly violate the axiom",
+                ],
+            ),
+            # Claims that fit the multiset the report lists instead.
+            ({"lhs": "1", "rhs": "1"}, ["trial sequence does not strictly violate the axiom"]),
+        ],
+    )
+    def test_off_pipeline_aggregate_gets_its_own_lhs_and_rhs(self, claims, failures):
+        # One trial on a coordinate that holds 1: lhs 1, and some order picks
+        # it, so rhs 1. Scaling the separator's best value would give 2.
+        instance = parse_instance(CYCLIC_TEXT)
+        report = run_check(instance, mode="canonical").to_structured()
+        cert = report["certificate"]
+        assert cert["integer_aggregate"] == [1, 0, 0, 1, 1, 0]
+        cert["integer_aggregate"] = [1, 0, 0, 0, 0, 0]
+        cert["trials"] = cert["trials"][:1]
+        cert.update(claims)
+        ok, found = run_verify(instance, report)
+        assert not ok
+        assert found == ["integer aggregate does not match the pipeline", *failures]
 
     def test_wrong_instance_detected_by_digest(self):
         a = parse_instance(make_text())
