@@ -12,15 +12,14 @@ collect, and verifies that claim before returning. Three steps:
 2. ``integerize``   clear denominators and divide out the gcd (a positive
                     rescaling, so strictness is preserved);
 3. ``decompose``    write the integer aggregate as a multiset of one-block
-                    trials, either one canonical-basis trial per unit or a
-                    shorter greedy layering of subset queries.
+                    trials "the choice from B lies in C", peeled in layers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
 from .membership import MixingDistribution, SeparatingVector, test_membership
@@ -38,8 +37,6 @@ from .model import (
     primitive_integers,
     to_rational,
 )
-
-DecompositionMode = Literal["canonical", "compressed"]
 
 
 def positivize(t: Sequence[Rational]) -> tuple[Rational, ...]:
@@ -66,22 +63,13 @@ def integerize(t: Sequence[Rational]) -> tuple[int, ...]:
     return primitive_integers(vals)
 
 
-def decompose_to_trials(
-    aggregate: Sequence[int],
-    layout: IndexLayout,
-    mode: DecompositionMode = "canonical",
-) -> TrialSequence:
+def decompose_to_trials(aggregate: Sequence[int], layout: IndexLayout) -> TrialSequence:
     """Write a nonnegative integer vector as a sum of one-block trials.
 
-    canonical:  coordinate i contributes aggregate[i] copies of the basis
-                trial querying only i (one-to-one with the integer count).
-    compressed: within each block, repeatedly peel off the indicator of the
-                remaining support, i.e. max(aggregate) layers per block.
-
-    Both modes aggregate back to the input exactly.
+    Within each block, repeatedly peel off the indicator of the remaining
+    support: max(aggregate) layers per block, which aggregate back to the
+    input exactly.
     """
-    if mode not in ("canonical", "compressed"):
-        raise ValidationError(f"unknown decomposition mode {mode!r}")
     n = layout.coordinate_count
     if len(aggregate) != n:
         raise ValidationError(f"aggregate has length {len(aggregate)}, expected {n}")
@@ -92,16 +80,11 @@ def decompose_to_trials(
         raise ValidationError("cannot decompose the zero vector into nonzero trials")
 
     trials: list[Trial] = []
-    if mode == "canonical":
-        for i, count in enumerate(agg):
-            if count:
-                trials.extend([Trial(layout.block_of(i), (i,))] * count)
-    else:
-        for j in range(layout.problem_count):
-            remaining = {i: agg[i] for i in layout.block_range(j) if agg[i]}
-            while remaining:
-                trials.append(Trial(j, tuple(remaining)))
-                remaining = {i: c - 1 for i, c in remaining.items() if c > 1}
+    for j in range(layout.problem_count):
+        remaining = {i: agg[i] for i in layout.block_range(j) if agg[i]}
+        while remaining:
+            trials.append(Trial(j, tuple(remaining)))
+            remaining = {i: c - 1 for i, c in remaining.items() if c > 1}
     return make_trial_sequence(trials, layout)
 
 
@@ -126,7 +109,6 @@ def make_certificate(
     separating: SeparatingVector,
     pi: StochasticChoiceVector,
     types: TypeFamily,
-    mode: DecompositionMode = "compressed",
 ) -> ViolationCertificate:
     """Run the full pipeline and verify the strict violation before returning."""
     # positivize and integerize keep strict separation, so the aggregate
@@ -134,10 +116,10 @@ def make_certificate(
     shifted = positivize(separating.direction)
     aggregate = integerize(shifted)
     lhs = Fraction(inner(aggregate, pi.values))
-    rhs = Fraction(types.best_value(aggregate))
+    rhs = Fraction(types.best(aggregate)[0])
     if lhs <= rhs:
         raise ValidationError(f"input does not separate: lhs {lhs} is not above rhs {rhs}")
-    trials = decompose_to_trials(aggregate, pi.layout, mode)
+    trials = decompose_to_trials(aggregate, pi.layout)
     return ViolationCertificate(
         separating=separating,
         positivized=shifted,
@@ -164,15 +146,9 @@ class CheckOutcome:
         return self.mixture is not None
 
 
-def decide(
-    pi: StochasticChoiceVector,
-    types: TypeFamily,
-    mode: DecompositionMode = "compressed",
-) -> CheckOutcome:
+def decide(pi: StochasticChoiceVector, types: TypeFamily) -> CheckOutcome:
     """End-to-end decision: mixture, or separating vector upgraded to a certificate."""
     result = test_membership(pi, types)
     if isinstance(result, MixingDistribution):
         return CheckOutcome(mixture=result, certificate=None)
-    return CheckOutcome(
-        mixture=None, certificate=make_certificate(result, pi, types, mode)
-    )
+    return CheckOutcome(mixture=None, certificate=make_certificate(result, pi, types))

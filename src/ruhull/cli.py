@@ -30,8 +30,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_NOT_RATIONALIZABLE = 3
 EXIT_CAP_EXCEEDED = 4
 
-CANONICAL_TRIAL_WARNING = 10**6
-
 
 def _dump(tree: dict) -> str:
     return json.dumps(tree, indent=2, sort_keys=True) + "\n"
@@ -39,18 +37,7 @@ def _dump(tree: dict) -> str:
 
 def _cmd_check(args) -> int:
     instance = load_instance(args.instance)
-    report = run_check(instance, mode=args.mode, restricted=args.restricted_arsp)
-    cert = report.outcome.certificate
-    if (
-        args.mode == "canonical"
-        and cert is not None
-        and sum(cert.integer_aggregate) > CANONICAL_TRIAL_WARNING
-    ):
-        print(
-            f"warning: canonical decomposition uses {sum(cert.integer_aggregate)} "
-            "trials; consider --mode compressed",
-            file=sys.stderr,
-        )
+    report = run_check(instance, restricted=args.restricted_arsp)
     if args.format == "structured":
         sys.stdout.write(_dump(report.to_structured()))
     else:
@@ -159,12 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="decide rationalizability")
     add_common(p_check)
-    p_check.add_argument(
-        "--mode",
-        choices=("canonical", "compressed"),
-        default="compressed",
-        help="trial decomposition for certificates",
-    )
     p_check.add_argument(
         "--restricted-arsp",
         action="store_true",

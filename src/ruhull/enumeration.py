@@ -236,10 +236,6 @@ class OrderTypes:
         value = best[states - 1] // unit
         return (value if denom == 1 else Fraction(value, denom)), ChoiceTypeVector(tuple(chosen))
 
-    def best_value(self, y: Sequence[Rational]) -> Rational:
-        """max over the types R of inner(y, R), exactly; equals max_over_types's value."""
-        return self.best(y)[0]
-
     def single_type(self) -> ChoiceTypeVector | None:
         """The family's type when it has exactly one (every problem has one pick), else None."""
         if any(len(picks) != 1 for picks in self._picks):

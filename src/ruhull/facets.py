@@ -281,5 +281,5 @@ def essential_sequences(
     sequences = []
     for facet in hrep.facets:
         aggregate = integerize(positivize(facet.normal))
-        sequences.append(decompose_to_trials(aggregate, layout, "canonical"))
+        sequences.append(decompose_to_trials(aggregate, layout))
     return tuple(sequences)

@@ -526,13 +526,19 @@ def run_check(
     mode: str = "compressed",
     restricted: bool = False,
 ) -> ResultReport:
-    """Decide rationalizability end to end; optionally also the restricted axiom."""
+    """Decide rationalizability end to end; optionally also the restricted axiom.
+
+    Certificates always use the compressed decomposition, and reports keep
+    ``"mode": "compressed"`` among their flags; ``mode`` accepts only that.
+    """
+    if mode != "compressed":
+        raise ValidationError(f"unknown decomposition mode {mode!r}")
     lifted, pi = _lift(instance) if restricted else (instance.lifted, instance.pi)
-    outcome = decide(pi, _family(instance, lifted), mode)
+    outcome = decide(pi, _family(instance, lifted))
     return ResultReport(
         instance=instance,
         layout=pi.layout,
-        flags={"mode": mode, "restricted_arsp": restricted},
+        flags={"mode": "compressed", "restricted_arsp": restricted},
         outcome=outcome,
         restricted=(
             _restricted_from_verdict(instance, outcome.rationalizable)
@@ -783,7 +789,7 @@ def _verify_certificate(cert: Any, pi: StochasticChoiceVector, types: TypeFamily
         return ["certificate separating vector has the wrong length"]
 
     failures: list[str] = []
-    best = types.best_value(separating)
+    best = types.best(separating)[0]
     gap = inner(separating, pi.values) - best
     if gap != claimed_gap:
         failures.append(

@@ -127,7 +127,7 @@ def test_membership(
         for i in block:
             y[i] -= low
     direction = primitive_integers(y)
-    gap = inner(direction, pi.values) - types.best_value(direction)
+    gap = inner(direction, pi.values) - types.best(direction)[0]
     if gap <= 0:
         raise AssertionError("infeasible system produced a non-separating direction")
     return SeparatingVector(direction, gap)

@@ -274,9 +274,6 @@ class RationalTypeSet:
     def best(self, y: Sequence[Rational]) -> tuple[Rational, ChoiceTypeVector]:
         return max_over_types(y, self)
 
-    def best_value(self, y: Sequence[Rational]) -> Rational:
-        return max_over_types(y, self)[0]
-
     def admits(self, t: ChoiceTypeVector) -> bool:
         return t in self._members
 
@@ -300,9 +297,6 @@ class TypeFamily(Protocol):
 
     def best(self, y: Sequence[Rational]) -> tuple[Rational, ChoiceTypeVector]:
         """max over the types R of inner(y, R), and the canonically first maximizer."""
-
-    def best_value(self, y: Sequence[Rational]) -> Rational:
-        """max over the types R of inner(y, R)."""
 
     def admits(self, t: ChoiceTypeVector) -> bool:
         """Whether ``t`` is one of the types."""
@@ -470,7 +464,7 @@ def arsp_check(
     ``TrialSequence`` stands for its aggregate). lhs is the total choice
     probability the trials collect under ``pi``; rhs is the best total any
     single type achieves: ``best`` when the caller has already derived it
-    exactly, else one ``types.best_value``. The multiset passes when
+    exactly, else one ``types.best``. The multiset passes when
     lhs <= rhs. Depends on the trials only through their aggregate, so it is
     invariant under reordering them.
     """
@@ -487,5 +481,5 @@ def arsp_check(
             raise LayoutMismatch(f"aggregate coordinate {c} lies outside the layout")
         dense[c] = k
     lhs = inner(dense, pi.values)
-    rhs = types.best_value(dense) if best is None else best
+    rhs = types.best(dense)[0] if best is None else best
     return ArspResult(lhs, rhs, lhs <= rhs)

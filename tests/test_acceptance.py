@@ -110,7 +110,7 @@ def test_criterion_2_duality_soundness():
             _, _, layout = random_small_instance(rng, max_universe=4, max_problems=6)
             ts = types_from_linear_orders(layout)
             pi = random_rational_pi(layout, rng)
-            outcome = decide(pi, ts, mode="canonical")
+            outcome = decide(pi, ts)
             assert (outcome.mixture is None) != (outcome.certificate is None)
             if outcome.mixture is not None:
                 mix = outcome.mixture
@@ -177,7 +177,7 @@ def test_criterion_4_pipeline_bookkeeping():
             best_int, _ = max_over_types(aggregate, ts)
             assert inner(aggregate, pi.values) - best_int == scale * gap_after
 
-            cert = decide(pi, ts, mode="canonical").certificate
+            cert = decide(pi, ts).certificate
             assert cert is not None
             replay = arsp_check(cert.trials, pi, ts)
             assert not replay.holds and replay.lhs > replay.rhs
@@ -270,7 +270,7 @@ def test_criterion_9_byte_identical_reports(tmp_path, capsys):
         commands = [
             ["check", str(cyclic)],
             ["check", str(cyclic), "--format", "structured"],
-            ["check", str(cyclic), "--mode", "canonical"],
+            ["check", str(footnote)],
             ["check", str(footnote), "--restricted-arsp"],
             ["check", str(footnote), "--restricted-arsp", "--format", "structured"],
             ["enumerate-types", str(cyclic)],

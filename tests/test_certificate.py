@@ -97,16 +97,22 @@ class TestDecompose:
         assert seq.trials[0].coordinates == (4,)
         assert seq.trials[0].block == 2
 
-    def test_canonical_multiplicities(self):
-        _, _, layout = make_instance("ab", [("a", "b")])
-        seq = decompose_to_trials([2, 1], layout, "canonical")
-        assert len(seq) == 3
-        assert seq.aggregate == (2, 1)
-        assert [t.coordinates for t in seq.trials] == [(0,), (0,), (1,)]
+    def test_layers_per_block(self, pairwise3):
+        _, _, layout, _ = pairwise3
+        seq = decompose_to_trials([2, 0, 0, 3, 1, 1], layout)
+        assert seq.aggregate == (2, 0, 0, 3, 1, 1)
+        assert [(t.block, t.coordinates) for t in seq.trials] == [
+            (0, (0,)),
+            (0, (0,)),
+            (1, (3,)),
+            (1, (3,)),
+            (1, (3,)),
+            (2, (4, 5)),
+        ]
 
     def test_compressed_layers(self):
         _, _, layout = make_instance("ab", [("a", "b")])
-        seq = decompose_to_trials([2, 1], layout, "compressed")
+        seq = decompose_to_trials([2, 1], layout)
         assert len(seq) == 2
         assert [t.coordinates for t in seq.trials] == [(0, 1), (0,)]
         assert seq.aggregate == (2, 1)
@@ -116,32 +122,29 @@ class TestDecompose:
         with pytest.raises(ValidationError):
             decompose_to_trials([0] * 6, layout)
 
-    def test_unknown_mode_rejected(self, pairwise3):
-        _, _, layout, _ = pairwise3
-        with pytest.raises(ValidationError):
-            decompose_to_trials([1, 0, 0, 0, 0, 0], layout, "fancy")
-
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_both_modes_rebuild_aggregate(self, data):
+    def test_decomposition_rebuilds_aggregate(self, data):
         rng = seeded(data.draw(st.integers(0, 10**6)))
         _, _, layout = random_small_instance(rng, max_universe=3, max_problems=3)
         agg = [rng.randrange(0, 4) for _ in range(layout.coordinate_count)]
         if not any(agg):
             agg[0] = 1
-        for mode in ("canonical", "compressed"):
-            seq = decompose_to_trials(agg, layout, mode)
-            assert seq.aggregate == tuple(agg)
-            for t in seq.trials:
-                support_blocks = {layout.block_of(i) for i in t.coordinates}
-                assert support_blocks == {t.block}
+        seq = decompose_to_trials(agg, layout)
+        assert seq.aggregate == tuple(agg)
+        for t in seq.trials:
+            support_blocks = {layout.block_of(i) for i in t.coordinates}
+            assert support_blocks == {t.block}
+        assert len(seq) == sum(
+            max(agg[i] for i in layout.block_range(j)) for j in range(layout.problem_count)
+        )
 
 
 class TestMakeCertificate:
-    def test_cyclic_canonical_values(self, pairwise3, cyclic_pi):
+    def test_cyclic_values(self, pairwise3, cyclic_pi):
         _, _, layout, ts = pairwise3
         sep = SeparatingVector(direction=(1, 0, 0, 1, 1, 0), gap=Fraction(1))
-        cert = make_certificate(sep, cyclic_pi, ts, "canonical")
+        cert = make_certificate(sep, cyclic_pi, ts)
         assert cert.integer_aggregate == (1, 0, 0, 1, 1, 0)
         assert (cert.lhs, cert.rhs) == (3, 2)
         assert len(cert.trials) == 3
@@ -165,9 +168,9 @@ class TestMakeCertificate:
         with pytest.raises(ValidationError, match="separate"):
             make_certificate(bogus, uniform_pi, ts)
 
-    def test_compressed_mode_still_violates(self, pairwise3, cyclic_pi):
+    def test_decided_certificate_violates(self, pairwise3, cyclic_pi):
         _, _, layout, ts = pairwise3
-        outcome = decide(cyclic_pi, ts, mode="compressed")
+        outcome = decide(cyclic_pi, ts)
         cert = outcome.certificate
         assert cert is not None
         assert not arsp_check(cert.trials, cyclic_pi, ts).holds

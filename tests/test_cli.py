@@ -102,19 +102,14 @@ class TestCheckCommand:
         assert "elapsed" in captured.err
         assert "elapsed" not in captured.out
 
-    def test_canonical_mode_warns_on_huge_sequences(
-        self, write_instance, capsys, monkeypatch
-    ):
-        import ruhull.cli as cli_module
-
-        monkeypatch.setattr(cli_module, "CANONICAL_TRIAL_WARNING", 2)
+    @pytest.mark.parametrize("mode", ["canonical", "compressed"])
+    def test_mode_option_is_a_usage_error(self, write_instance, capsys, mode):
+        # Certificates have one decomposition, so check takes no --mode.
         path = write_instance(CYCLIC_TREE)
-        assert main(["check", path, "--mode", "canonical"]) == 3
-        captured = capsys.readouterr()
-        assert "consider --mode compressed" in captured.err
-        monkeypatch.undo()
-        main(["check", path, "--mode", "canonical"])
-        assert "consider" not in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["check", path, "--mode", mode])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
 
 
 class TestOtherCommands:
@@ -255,7 +250,7 @@ class TestDeterminism:
         [
             ["check", None],
             ["check", None, "--format", "structured"],
-            ["check", None, "--mode", "canonical"],
+            ["check", None, "--restricted-arsp"],
             ["enumerate-types", None],
             ["facets", None, "--format", "structured"],
         ],
@@ -273,6 +268,7 @@ class TestDeterminism:
 
 UNNORMALIZED = pathlib.Path(__file__).resolve().parent / "fixtures" / "unnormalized_reports"
 BARE_CLAIMS = pathlib.Path(__file__).resolve().parent / "fixtures" / "bare_restricted_claims"
+CANONICAL = pathlib.Path(__file__).resolve().parent / "fixtures" / "canonical_reports"
 # A restricted-axiom claim on set-valued data that fails the full axiom must
 # carry its witness: a bare {"holds": true} could only be checked by solving
 # the restricted LP, which verify does not do.
@@ -320,3 +316,22 @@ def test_bare_restricted_claims_are_rejected(report_path, capsys):
     instance_path = SAMPLES / f"{report_path.name.split('.')[0]}.json"
     assert run_verify(load_instance(str(instance_path)), report) == (False, [BARE_CLAIM_FAILURE])
     _verify_exits(instance_path, report_path, capsys, [BARE_CLAIM_FAILURE])
+
+
+@pytest.mark.parametrize(
+    "report_path", sorted(CANONICAL.glob("*.out")), ids=lambda p: p.stem
+)
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_canonical_reports_still_verify(report_path, fmt, capsys):
+    # Structured reports written when check could decompose a certificate into
+    # one single-coordinate trial per unit of the aggregate; verify checks the
+    # trials only through their aggregate, so they still verify.
+    assert json.loads(report_path.read_text())["flags"]["mode"] == "canonical"
+    instance_path = SAMPLES / f"{report_path.name.split('.')[0]}.json"
+    argv = ["verify", str(instance_path), str(report_path), "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if fmt == "structured":
+        assert json.loads(out)["verified"] is True
+    else:
+        assert out == "verified: true\n"

@@ -1,3 +1,4 @@
+import pathlib
 from fractions import Fraction
 from itertools import product
 
@@ -12,7 +13,10 @@ from ruhull import (
     facet_membership_oracle,
     facets,
     inner,
+    integerize,
+    load_instance,
     membership,
+    positivize,
     type_bits,
     types_from_explicit,
     types_from_linear_orders,
@@ -29,6 +33,8 @@ from conftest import (
     make_instance,
     seeded,
 )
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +276,24 @@ class TestEssentialSequences:
         # Facet -x1 <= 0 shifts to the basis query on the second coordinate;
         # facet x1 <= 1 is already nonnegative.
         assert aggregates == {(0, 1), (1, 0)}
+
+    @pytest.mark.parametrize(
+        "path", sorted(SAMPLES.glob("*.json")), ids=lambda p: p.stem
+    )
+    def test_sample_sequences_peel_the_shifted_normals(self, path):
+        # Each sequence aggregates to the facet's shifted, integerized normal,
+        # peeled in layers: a block takes as many trials as its largest entry.
+        type_set = load_instance(str(path)).type_set
+        layout = type_set.layout
+        hrep = enumerate_facets(type_set)
+        seqs = essential_sequences(hrep, layout)
+        assert len(seqs) == len(hrep.facets) > 0
+        for facet, seq in zip(hrep.facets, seqs):
+            assert seq.aggregate == integerize(positivize(facet.normal))
+            for j in range(layout.problem_count):
+                trials = [t for t in seq.trials if t.block == j]
+                entries = [seq.aggregate[i] for i in layout.block_range(j)]
+                assert len(trials) == max(entries)
 
     def test_one_sequence_per_facet(self, pairwise3, pairwise3_hrep):
         _, _, layout, _ = pairwise3

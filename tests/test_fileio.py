@@ -12,6 +12,7 @@ from ruhull import (
     InstanceParseError,
     OrderTypes,
     RationalTypeSet,
+    ValidationError,
     parse_instance,
     parse_rational,
     run_check,
@@ -269,13 +270,21 @@ class TestRunCheckAndVerify:
             "set_valued": False,
         })
         instance = parse_instance(text)
-        report = run_check(instance, mode="canonical")
+        report = run_check(instance)
         assert report.verdict == "not-rationalizable"
         structured = report.to_structured()
         assert structured["certificate"]["lhs"] == "3"
         assert structured["certificate"]["rhs"] == "2"
         ok, failures = run_verify(instance, structured)
         assert ok, failures
+
+    @pytest.mark.parametrize("mode", ["canonical", "fancy"])
+    def test_only_the_compressed_mode_is_accepted(self, mode):
+        instance = parse_instance(CYCLIC_TEXT)
+        with pytest.raises(ValidationError, match="decomposition mode"):
+            run_check(instance, mode=mode)
+        flags = run_check(instance, mode="compressed").to_structured()["flags"]
+        assert flags == {"mode": "compressed", "restricted_arsp": False}
 
     def test_tampered_mixture_fails(self):
         instance = parse_instance(make_text())
@@ -312,13 +321,13 @@ class TestRunCheckAndVerify:
         assert report["verdict"] == "not-rationalizable"
         calls = []
         for cls in (OrderTypes, RationalTypeSet):
-            original = cls.best_value
+            original = cls.best
 
             def counted(self, y, original=original):
                 calls.append(tuple(y))
                 return original(self, y)
 
-            monkeypatch.setattr(cls, "best_value", counted)
+            monkeypatch.setattr(cls, "best", counted)
         ok, failures = run_verify(instance, report)
         assert ok, failures
         assert len(calls) == 1
@@ -343,7 +352,7 @@ class TestRunCheckAndVerify:
         # One trial on a coordinate that holds 1: lhs 1, and some order picks
         # it, so rhs 1. Scaling the separator's best value would give 2.
         instance = parse_instance(CYCLIC_TEXT)
-        report = run_check(instance, mode="canonical").to_structured()
+        report = run_check(instance).to_structured()
         cert = report["certificate"]
         assert cert["integer_aggregate"] == [1, 0, 0, 1, 1, 0]
         cert["integer_aggregate"] = [1, 0, 0, 0, 0, 0]
@@ -522,7 +531,7 @@ class TestVerifyMalformedReports:
     )
     def test_non_integer_entries_rejected(self, where, value):
         instance = parse_instance(CYCLIC_TEXT)
-        report = run_check(instance, mode="canonical").to_structured()
+        report = run_check(instance).to_structured()
         # Only entries equal to 1 are tested, so truncating or coercing 1.0,
         # 1.5 or True would leave the report valid.
         cert = report["certificate"]

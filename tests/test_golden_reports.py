@@ -1,8 +1,8 @@
 """CLI stdout is pinned byte for byte on every shipped instance.
 
 Reports are promised to be byte-identical across runs and refactors; these
-goldens enforce it for ``check`` in both formats, both decomposition modes and
-with and without the restricted axiom, and for ``enumerate-types`` and
+goldens enforce it for ``check`` in both formats, with and without the
+restricted axiom, and for ``enumerate-types`` and
 ``facets`` in both formats and ``lift``, which print types as 0/1 rows. Two
 larger fixtures, all subsets of size >= 2 over six alternatives (planted and
 random data), pin structured ``check`` reports, plain and restricted, where
@@ -25,12 +25,9 @@ FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 CASES = [
-    (path.name, fmt, mode, restricted)
-    for path, fmt, mode, restricted in itertools.product(
-        sorted(SAMPLES.glob("*.json")),
-        ("text", "structured"),
-        ("compressed", "canonical"),
-        (False, True),
+    (path.name, fmt, restricted)
+    for path, fmt, restricted in itertools.product(
+        sorted(SAMPLES.glob("*.json")), ("text", "structured"), (False, True)
     )
 ]
 
@@ -53,14 +50,15 @@ SUBCOMMAND_CASES = [
 ]
 
 
-def _argv(name, fmt, mode, restricted, folder=SAMPLES):
-    argv = ["check", str(folder / name), "--format", fmt, "--mode", mode]
+def _argv(name, fmt, restricted, folder=SAMPLES):
+    argv = ["check", str(folder / name), "--format", fmt]
     return argv + ["--restricted-arsp"] if restricted else argv
 
 
-def _golden_path(name, fmt, mode, restricted):
+def _golden_path(name, fmt, restricted):
+    # "compressed" names the decomposition that every certificate uses.
     suffix = ".restricted" if restricted else ""
-    return GOLDEN / f"{pathlib.Path(name).stem}.{fmt}.{mode}{suffix}.out"
+    return GOLDEN / f"{pathlib.Path(name).stem}.{fmt}.compressed{suffix}.out"
 
 
 def _subcommand_argv(name, command, fmt):
@@ -73,21 +71,19 @@ def _subcommand_golden_path(name, command, fmt):
     return GOLDEN / f"{pathlib.Path(name).stem}.{command}{suffix}.out"
 
 
-@pytest.mark.parametrize("name,fmt,mode,restricted", CASES)
-def test_check_stdout_matches_golden(name, fmt, mode, restricted, capsys):
-    code = main(_argv(name, fmt, mode, restricted))
+@pytest.mark.parametrize("name,fmt,restricted", CASES)
+def test_check_stdout_matches_golden(name, fmt, restricted, capsys):
+    code = main(_argv(name, fmt, restricted))
     assert code in (0, 3)
-    expected = _golden_path(name, fmt, mode, restricted).read_text(encoding="utf-8")
+    expected = _golden_path(name, fmt, restricted).read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("name,restricted", FIXTURE_CASES)
 def test_fixture_check_stdout_matches_golden(name, restricted, capsys):
-    code = main(_argv(name, "structured", "compressed", restricted, FIXTURES))
+    code = main(_argv(name, "structured", restricted, FIXTURES))
     assert code in (0, 3)
-    expected = _golden_path(name, "structured", "compressed", restricted).read_text(
-        encoding="utf-8"
-    )
+    expected = _golden_path(name, "structured", restricted).read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 
@@ -109,8 +105,8 @@ def _regenerate():
     ]
     runs += [
         (
-            _argv(name, "structured", "compressed", restricted, FIXTURES),
-            _golden_path(name, "structured", "compressed", restricted),
+            _argv(name, "structured", restricted, FIXTURES),
+            _golden_path(name, "structured", restricted),
         )
         for name, restricted in FIXTURE_CASES
     ]

@@ -177,7 +177,7 @@ class TestEngineAgainstBruteForce:
         functionals = [[0] * n, [1] * n, [-1] * n]
         functionals += [_random_functional(rng, n, fractions) for _ in range(12)]
         for y in functionals:
-            assert engine.best_value(y) == max_over_types(y, expected)[0], y
+            assert engine.best(y)[0] == max_over_types(y, expected)[0], y
 
     def test_admits_exactly_the_brute_force_types(self, name, ties):
         engine, layout, expected = _brute_force(name, ties)
@@ -299,7 +299,7 @@ def test_picks_outside_their_block_are_not_types():
 def test_best_value_checks_the_length():
     engine = OrderTypes(BASE["pairwise-3"])
     with pytest.raises(LayoutMismatch, match="does not match layout"):
-        engine.best_value([0] * 5)
+        engine.best([0] * 5)
 
 
 def test_weak_orders_need_a_lifted_layout():
@@ -518,7 +518,7 @@ def _cycle_tree(n):
 @pytest.mark.parametrize("data", ["planted", "cycle"])
 def test_check_does_not_enumerate(n, data, monkeypatch):
     # The membership LP asks the engine for the best order on every pivot,
-    # so check lists no orders, plainly, canonically or restricted.
+    # so check lists no orders, plainly or restricted.
     if data == "cycle":
         instance = parse_instance(json.dumps(_cycle_tree(n)))
     elif n == 9:
@@ -526,8 +526,8 @@ def test_check_does_not_enumerate(n, data, monkeypatch):
     else:
         instance = parse_instance(json.dumps(_planted_tree(n)))
     _forbid_enumeration(monkeypatch)
-    for mode, restricted in (("compressed", False), ("canonical", False), ("compressed", True)):
-        report = run_check(instance, mode, restricted)
+    for restricted in (False, True):
+        report = run_check(instance, restricted=restricted)
         assert report.outcome.rationalizable == (data == "planted")
         ok, failures = run_verify(instance, json.loads(json.dumps(report.to_structured())))
         assert ok, failures

@@ -163,7 +163,7 @@ def test_reduced_lp_matches_the_full_rows_and_the_facets(kind, seed):
         return  # the one-type shortcut separates on a single coordinate
     for j in range(layout.problem_count):
         assert min(result.direction[i] for i in layout.block_range(j)) == 0
-    cert = make_certificate(result, pi, type_set, "compressed")
+    cert = make_certificate(result, pi, type_set)
     assert cert.positivized == result.direction
     for trial in cert.trials.trials:
         assert len(trial.coordinates) < layout.problems[trial.block].size

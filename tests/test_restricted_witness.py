@@ -112,7 +112,7 @@ def _lifted_restricted_cases(count):
 def test_verify_solves_no_lp(monkeypatch):
     instances = [parse_instance(text) for text in _lifted_restricted_cases(48)]
     instances.append(load_instance(str(FIVE_ALTERNATIVES)))
-    reports = [run_check(i, "compressed", True).to_structured() for i in instances]
+    reports = [run_check(i, restricted=True).to_structured() for i in instances]
     witnesses = [sorted(set(r["restricted_arsp"]) - {"holds"}) for r in reports]
     assert witnesses.count(["mixture"]) and witnesses.count(["trials"])
     assert reports[-1]["restricted_arsp"]["holds"] is False

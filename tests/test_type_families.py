@@ -4,7 +4,7 @@
 best type on every simplex iteration; on explicit rows it scans the listed
 types. Both break ties to the canonically first type, so the two must make
 the same pivots: the same mixture, the same certificate and the same
-restricted-axiom answer, in both decomposition modes.
+restricted-axiom answer.
 """
 
 import json
@@ -107,12 +107,11 @@ def _written_out(tree):
 def test_keyword_types_report_as_their_written_out_rows(tree):
     by_keyword = parse_instance(json.dumps(tree))
     by_rows = parse_instance(json.dumps(_written_out(tree)))
-    for mode in ("compressed", "canonical"):
-        for restricted in (False, True):
-            reports = [
-                run_check(instance, mode, restricted).to_structured()
-                for instance in (by_keyword, by_rows)
-            ]
-            for section in SECTIONS:
-                assert reports[0].get(section) == reports[1].get(section), (mode, restricted, section)
+    for restricted in (False, True):
+        reports = [
+            run_check(instance, restricted=restricted).to_structured()
+            for instance in (by_keyword, by_rows)
+        ]
+        for section in SECTIONS:
+            assert reports[0].get(section) == reports[1].get(section), (restricted, section)
 
