@@ -49,10 +49,12 @@ from .lifting import (
     LiftedLayout,
     RestrictedArsp,
     check_restricted_arsp,
+    empty_set_trial,
     lift_layout,
     lift_set_valued_data,
     restricted_trials,
     singleton_choice_data,
+    singleton_outcome,
     singleton_types,
 )
 # max_over_types stays bound for perfbench/tracing.py, which wraps it here.
@@ -528,24 +530,36 @@ def run_check(
 ) -> ResultReport:
     """Decide rationalizability end to end; optionally also the restricted axiom.
 
+    The restricted axiom's report is on the lifted layout: singleton data is
+    decided on its base layout and carried across, and set-valued data that
+    fails the full axiom tries the empty-set trial before the restricted LP.
+
     Certificates always use the compressed decomposition, and reports keep
     ``"mode": "compressed"`` among their flags; ``mode`` accepts only that.
     """
     if mode != "compressed":
         raise ValidationError(f"unknown decomposition mode {mode!r}")
-    lifted, pi = _lift(instance) if restricted else (instance.lifted, instance.pi)
-    outcome = decide(pi, _family(instance, lifted))
+    lifted, pi = instance.lifted, instance.pi
+    family = _family(instance, lifted)
+    outcome = decide(pi, family)
+    axiom = None
+    if restricted:
+        axiom = _restricted_from_verdict(instance, outcome.rationalizable)
+        if lifted is None:
+            # Singleton data: every type picks a singleton, so the base
+            # decision carries across to the lifted layout.
+            lifted = lift_layout(instance.universe, instance.problems)
+            outcome = singleton_outcome(outcome, lifted)
+        elif axiom is None:
+            axiom = empty_set_trial(pi, family, lifted) or check_restricted_arsp(
+                pi, instance.type_set, lifted
+            )
     return ResultReport(
         instance=instance,
-        layout=pi.layout,
+        layout=pi.layout if lifted is None else lifted.layout,
         flags={"mode": "compressed", "restricted_arsp": restricted},
         outcome=outcome,
-        restricted=(
-            _restricted_from_verdict(instance, outcome.rationalizable)
-            or check_restricted_arsp(pi, instance.type_set, lifted)
-            if restricted
-            else None
-        ),
+        restricted=axiom,
     )
 
 
@@ -718,7 +732,6 @@ def _verify_restricted_witness(
     fails the full axiom: a dominating mixture if it holds, a violating
     multiset of restricted trials if not. No LP: one pass over the restricted
     trials, or one best value."""
-    queries = restricted_trials(lifted)
     if claim["holds"]:
         mixture = claim.get("mixture")
         weights = mixture.get("weights") if isinstance(mixture, dict) else None
@@ -727,7 +740,7 @@ def _verify_restricted_witness(
         combined, failures = _mixture_total(weights, pi.layout, types, "restricted mixture")
         # The mixture's excess over the data, scaled to integers.
         excess = primitive_integers([m - p for m, p in zip(combined, pi.values)])
-        for t in queries:
+        for t in restricted_trials(lifted):
             if sum(map(excess.__getitem__, t.coordinates)) < 0:
                 labels = ",".join(map(pi.layout.coordinate_labels.__getitem__, t.coordinates))
                 failures.append(
@@ -740,13 +753,14 @@ def _verify_restricted_witness(
     if not isinstance(items, (list, tuple)) or not items:
         return ["restricted axiom claimed to fail without a trial witness"]
     failures = []
-    restricted = set(queries)
     aggregate: dict[int, int] = defaultdict(int)
     for k, item in enumerate(items):
         try:
-            problem, coords = _report_trial(item, pi.layout)
-            trial = Trial(problem, tuple(sorted(coords)))
-            if trial not in restricted:
+            _, coords = _report_trial(item, pi.layout)
+            # Distinct subsets of the union of the queried subsets, all in one
+            # block: they are all of its subsets iff there are 2^|union|.
+            union = set().union(*map(lifted.coordinate_subsets.__getitem__, coords))
+            if len(coords) != 1 << len(union):
                 raise ValueError("does not query all the subsets of one set")
             count = item.get("count")
             if type(count) is not int or count <= 0:
@@ -754,7 +768,7 @@ def _verify_restricted_witness(
         except ValueError as exc:
             failures.append(f"restricted trial {k}: {exc}")
             continue
-        for c in trial.coordinates:
+        for c in coords:
             aggregate[c] += count
     if failures:
         return failures

@@ -15,19 +15,23 @@ query "a set together with all its subsets" inside one problem, and an exact
 decision procedure for the axiom restricted to that family, with a witness
 either way. The restricted axiom is implied by full rationalizability but
 does not imply it; see the tests for a two-alternative instance witnessing
-the gap.
+the gap. Two cases need no restricted LP: mass on the empty set that no
+type picks (``empty_set_trial``), and singleton data, decided on the base
+layout and carried across (``singleton_outcome``).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
+from .certificate import CheckOutcome
 from .errors import CapExceeded, LayoutMismatch, ValidationError
 from .exactlp import FeasiblePoint, solve_equality_feasibility
+from .membership import MixingDistribution
 from .model import (
     ChoiceProblem,
     ChoiceTypeVector,
@@ -37,8 +41,10 @@ from .model import (
     RationalTypeSet,
     StochasticChoiceVector,
     Trial,
+    TypeFamily,
     build_layout,
     inner,
+    make_trial_sequence,
     make_type_set,
     primitive_integers,
     to_rational,
@@ -62,13 +68,14 @@ class LiftedLayout:
     layout: IndexLayout
 
     @cached_property
+    def coordinate_subsets(self) -> tuple[tuple[int, ...], ...]:
+        """The base subset each lifted coordinate stands for."""
+        return tuple(self.subsets[m] for p in self.layout.problems for m in p.members)
+
+    @cached_property
     def _subset_coordinates(self) -> dict[tuple[int, tuple[int, ...]], int]:
-        table = {}
-        for j, problem in enumerate(self.layout.problems):
-            start = self.layout.block_offsets[j]
-            for pos, member in enumerate(problem.members):
-                table[(j, self.subsets[member])] = start + pos
-        return table
+        pairs = zip(self.layout.coordinate_blocks, self.coordinate_subsets)
+        return {pair: c for c, pair in enumerate(pairs)}
 
     @cached_property
     def base_layout(self) -> IndexLayout:
@@ -96,8 +103,8 @@ class LiftedLayout:
 
     def block_subsets(self, problem_index: int) -> tuple[tuple[int, ...], ...]:
         """Subsets of one base problem, in block coordinate order."""
-        problem = self.layout.problems[problem_index]
-        return tuple(self.subsets[m] for m in problem.members)
+        block = self.layout.block_range(problem_index)
+        return self.coordinate_subsets[block.start : block.stop]
 
 
 def lift_layout(
@@ -197,6 +204,44 @@ def singleton_types(type_set: RationalTypeSet, lifted: LiftedLayout) -> Rational
     return make_type_set(types, lifted.layout)
 
 
+def singleton_outcome(outcome: CheckOutcome, lifted: LiftedLayout) -> CheckOutcome:
+    """Carry a decision on the base layout onto the lifted layout's singletons.
+
+    Mixture types, separators, aggregates and trials move coordinate by
+    coordinate to their singletons, with zeros on every other subset. Every
+    type picks a singleton, so gap, lhs and rhs stay as they are; and the
+    map keeps the order of coordinates, so the lifted certificate is the
+    pipeline's own: a nonnegative separator positivizes to itself and its
+    aggregate peels into the mapped trials.
+    """
+    to = lifted.singleton_coordinates
+    if outcome.mixture is not None:
+        weights = tuple(
+            (ChoiceTypeVector(tuple(map(to.__getitem__, t.chosen))), w)
+            for t, w in outcome.mixture.weights
+        )
+        return CheckOutcome(MixingDistribution(lifted.layout, weights), None)
+
+    def spread(values):
+        out = [0] * lifted.layout.coordinate_count
+        for c, v in zip(to, values):
+            out[c] = v
+        return tuple(out)
+
+    cert = outcome.certificate
+    trials = (
+        Trial(t.block, tuple(map(to.__getitem__, t.coordinates))) for t in cert.trials.trials
+    )
+    lifted_cert = replace(
+        cert,
+        separating=replace(cert.separating, direction=spread(cert.separating.direction)),
+        positivized=spread(cert.positivized),
+        integer_aggregate=spread(cert.integer_aggregate),
+        trials=make_trial_sequence(trials, lifted.layout),
+    )
+    return CheckOutcome(None, lifted_cert)
+
+
 def restricted_trials(lifted: LiftedLayout) -> tuple[Trial, ...]:
     """The downward-closed trial family: one query per (problem, subset) pair.
 
@@ -221,7 +266,7 @@ def restricted_trials(lifted: LiftedLayout) -> tuple[Trial, ...]:
 
 @dataclass(frozen=True)
 class RestrictedArsp:
-    """The restricted axiom's verdict and, from the restricted LP, its witness.
+    """The restricted axiom's verdict and its witness.
 
     When the axiom holds, ``mixture`` lists (type, weight) pairs, weights
     positive and summing to 1, whose total on every restricted trial is at
@@ -229,14 +274,39 @@ class RestrictedArsp:
     the data at most what the mixture collects, so at most what its best type
     does (Ville's theorem). When it fails, ``trials`` lists (trial, count)
     pairs, a multiset of restricted trials that collects strictly more under
-    the data than any type. Both are empty when the full verdict witnesses
-    the axiom (rationalizable data, or singleton data, where the restricted
-    axiom is the full one).
+    the data than any type: the single query "a subset of the empty set"
+    from ``empty_set_trial``, or the restricted LP's multiset. Both are empty
+    when the full verdict witnesses the axiom (rationalizable data, or
+    singleton data, where the restricted axiom is the full one).
     """
 
     holds: bool
     mixture: tuple[tuple[ChoiceTypeVector, Fraction], ...] = ()
     trials: tuple[tuple[Trial, int], ...] = ()
+
+
+def empty_set_trial(
+    pi: StochasticChoiceVector, types: TypeFamily, lifted: LiftedLayout
+) -> RestrictedArsp | None:
+    """The one-trial violation "the choice from B is a subset of the empty set".
+
+    That query marks only B's empty-set coordinate. When one best value over
+    the empty-set coordinates of all problems is 0, no type picks the empty
+    set, so the query collects nothing under any type and the data's mass on
+    it is the violation; the first problem with such mass is reported. None
+    when the data puts no mass on the empty set or some type picks it. Lists
+    no types and solves no LP.
+    """
+    empty = [lifted.coordinate_for_subset(j, ()) for j in range(lifted.layout.problem_count)]
+    block = next((j for j, c in enumerate(empty) if pi.values[c]), None)
+    if block is None:
+        return None
+    indicator = [0] * lifted.layout.coordinate_count
+    for c in empty:
+        indicator[c] = 1
+    if types.best(indicator)[0]:
+        return None
+    return RestrictedArsp(False, trials=((Trial(block, (empty[block],)), 1),))
 
 
 def check_restricted_arsp(

@@ -269,6 +269,7 @@ class TestDeterminism:
 UNNORMALIZED = pathlib.Path(__file__).resolve().parent / "fixtures" / "unnormalized_reports"
 BARE_CLAIMS = pathlib.Path(__file__).resolve().parent / "fixtures" / "bare_restricted_claims"
 CANONICAL = pathlib.Path(__file__).resolve().parent / "fixtures" / "canonical_reports"
+LIFTED_LAYOUT = pathlib.Path(__file__).resolve().parent / "fixtures" / "lifted_layout_reports"
 # A restricted-axiom claim on set-valued data that fails the full axiom must
 # carry its witness: a bare {"holds": true} could only be checked by solving
 # the restricted LP, which verify does not do.
@@ -335,3 +336,21 @@ def test_canonical_reports_still_verify(report_path, fmt, capsys):
         assert json.loads(out)["verified"] is True
     else:
         assert out == "verified: true\n"
+
+
+@pytest.mark.parametrize(
+    "report_path", sorted(LIFTED_LAYOUT.glob("*.out")), ids=lambda p: p.stem
+)
+def test_lifted_layout_reports_still_verify(report_path, capsys):
+    # --restricted-arsp reports on singleton data written when check decided
+    # them by the membership LP on the lifted layout; check now decides on the
+    # base layout and maps the outcome across, so its reports differ.
+    report = json.loads(report_path.read_text())
+    assert report["lifted"] and report["flags"]["restricted_arsp"]
+    name = f"{report_path.name.split('.')[0]}.json"
+    instance_path = next(
+        path for path in (SAMPLES / name, report_path.parent.parent / name) if path.exists()
+    )
+    assert not load_instance(str(instance_path)).set_valued
+    assert main(["verify", str(instance_path), str(report_path)]) == 0
+    assert capsys.readouterr().out == "verified: true\n"

@@ -768,6 +768,8 @@ RESTRICTED_FAILURES = [
      ["restricted axiom claimed to hold without a mixture witness"]),
     ("not-all-subsets", RESTRICTED_FAILS_TEXT, _restricted_trials(([1, 4], 1)),
      ["restricted trial 0: does not query all the subsets of one set"]),
+    ("misses-the-empty-set", RESTRICTED_FAILS_TEXT, _restricted_trials(([2, 3, 4], 1)),
+     ["restricted trial 0: does not query all the subsets of one set"]),
     ("does-not-violate", RESTRICTED_FAILS_TEXT, _restricted_trials(([1, 2, 3, 4], 2)),
      ["restricted trials collect 2, not above the best type's 2"]),
     ("count-not-positive", RESTRICTED_FAILS_TEXT,

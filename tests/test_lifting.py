@@ -19,6 +19,7 @@ from ruhull import (
     lift_layout,
     lift_set_valued_data,
     lifted_view,
+    make_certificate,
     membership,
     parse_instance,
     restricted_trials,
@@ -235,6 +236,52 @@ class TestSingletonRecovery:
         lifted, lifted_pi, lifted_ts = lifted_view(instance)
         assert report.restricted_holds == report.outcome.rationalizable
         assert check_restricted_arsp(lifted_pi, lifted_ts, lifted).holds == report.restricted_holds
+        ok, failures = run_verify(instance, report.to_structured())
+        assert ok, failures
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_restricted_report_carries_the_base_outcome(self, seed):
+        # With --restricted-arsp singleton data is decided on the base layout
+        # and the outcome moved to the singleton coordinates: the same mixture
+        # weights, or the certificate the pipeline itself builds on the lifted
+        # layout from the moved separator, with the same gap, lhs and rhs.
+        rng = seeded(seed)
+        universe, problems, layout = random_small_instance(
+            rng, max_universe=3, max_problems=3
+        )
+        pi = random_rational_pi(layout, rng, max_numerator=3)
+        tree = {
+            "universe": list(universe.labels),
+            "problems": [[universe.labels[m] for m in p.members] for p in problems],
+            "probabilities": [
+                [str(pi.values[c]) for c in layout.block_range(j)]
+                for j in range(layout.problem_count)
+            ],
+            "types": "linear-orders",
+            "set_valued": False,
+        }
+        instance = parse_instance(json.dumps(tree))
+        base = run_check(instance).outcome
+        report = run_check(instance, restricted=True)
+        lifted, lifted_pi, lifted_ts = lifted_view(instance)
+        to = lifted.singleton_coordinates
+        assert report.layout == lifted.layout
+        assert report.restricted_holds == base.rationalizable
+        if base.rationalizable:
+            assert [w for _, w in report.outcome.mixture.weights] == [
+                w for _, w in base.mixture.weights
+            ]
+            assert report.outcome.mixture.mixture == lifted_pi.values
+        else:
+            cert, base_cert = report.outcome.certificate, base.certificate
+            direction = cert.separating.direction
+            assert [direction[c] for c in to] == list(base_cert.separating.direction)
+            assert sum(direction) == sum(base_cert.separating.direction)
+            assert cert == make_certificate(cert.separating, lifted_pi, lifted_ts)
+            assert (cert.separating.gap, cert.lhs, cert.rhs) == (
+                base_cert.separating.gap, base_cert.lhs, base_cert.rhs
+            )
         ok, failures = run_verify(instance, report.to_structured())
         assert ok, failures
 

@@ -455,21 +455,34 @@ def test_nine_alternative_mixture_verifies_without_enumeration(monkeypatch):
 CYCLE = {("a", "b"): "a", ("b", "c"): "b", ("a", "c"): "c"}
 
 
-def test_nine_alternative_certificate_verifies_without_enumeration(monkeypatch):
-    # Data choosing a over b, b over c and c over a for sure: the three
-    # queries collect 3, and no linear order collects more than 2.
+def _zero_one_cycle_tree():
+    """Pairwise data over nine alternatives choosing a over b, b over c and c
+    over a for sure, and the alphabetically first of every other pair."""
     problems = list(combinations(NINE, 2))
     probabilities = [
         ["1", "0"] if CYCLE.get(p, p[0]) == p[0] else ["0", "1"] for p in problems
     ]
-    tree = {
+    return {
         "universe": list(NINE),
         "problems": [list(p) for p in problems],
         "probabilities": probabilities,
         "types": "linear-orders",
         "set_valued": False,
     }
-    instance = parse_instance(json.dumps(tree))
+
+
+NINE_CYCLE = FIXTURES / "nine_alternatives_cycle.json"
+
+
+def test_nine_alternative_cycle_fixture_is_the_zero_one_cycle():
+    assert json.loads(NINE_CYCLE.read_text()) == _zero_one_cycle_tree()
+
+
+def test_nine_alternative_certificate_verifies_without_enumeration(monkeypatch):
+    # The three cycle queries collect 3, and no linear order collects more
+    # than 2.
+    problems = list(combinations(NINE, 2))
+    instance = parse_instance(NINE_CYCLE.read_text())
     separating = []
     trials = []
     for j, (a, b) in enumerate(problems):
@@ -503,6 +516,32 @@ def test_nine_alternative_certificate_verifies_without_enumeration(monkeypatch):
     report["certificate"]["rhs"] = "3"
     ok, failures = run_verify(instance, report)
     assert failures == ["rhs is 2, report claims 3"]
+
+
+def test_nine_alternative_cycle_restricted_is_decided_on_the_base_layout(monkeypatch):
+    # --restricted-arsp on singleton data decides on the base layout (72
+    # coordinates) and maps the outcome onto the lifted one (144): the
+    # membership LP on the lifted layout took 13 s here.
+    instance = parse_instance(NINE_CYCLE.read_text())
+    decided = []
+    decide = ruhull.fileio.decide
+
+    def recorded(pi, types):
+        decided.append(pi.layout)
+        return decide(pi, types)
+
+    def refuse(*args):
+        raise AssertionError("the restricted LP ran")
+
+    monkeypatch.setattr(ruhull.fileio, "decide", recorded)
+    monkeypatch.setattr(ruhull.fileio, "check_restricted_arsp", refuse)
+    _forbid_enumeration(monkeypatch)
+    report = run_check(instance, restricted=True)
+    assert decided == [instance.layout]
+    tree = json.loads(json.dumps(report.to_structured()))
+    assert tree["lifted"] and tree["restricted_arsp"] == {"holds": False}
+    assert len(tree["certificate"]["separating"]) == 2 ** 2 * 36
+    assert run_verify(instance, tree) == (True, [])
 
 
 def _cycle_tree(n):

@@ -3,24 +3,31 @@
 ``lifting.check_restricted_arsp`` solves the restricted LP in value-column
 form and returns a witness: a mixture of types dominating the data on every
 restricted trial when the axiom holds, a violating multiset of restricted
-trials when it fails. Its verdicts are compared here with the dense-margin
-LP it replaced, every witness ``check`` writes must pass ``run_verify``, and
-``run_verify`` must accept them without solving any LP.
+trials when it fails. ``check`` first tries the one-trial witness "the choice
+is a subset of the empty set" (``lifting.empty_set_trial``), which needs
+neither the listed types nor the LP. Both verdicts are compared here with the
+dense-margin LP the restricted LP replaced, every witness ``check`` writes
+must pass ``run_verify``, and ``run_verify`` must accept them without
+solving any LP.
 """
 
 import importlib.util
 import json
 import pathlib
+import random
 import sys
 from fractions import Fraction
 from itertools import combinations, islice
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruhull import (
+    Trial,
     check_restricted_arsp,
     exactlp,
+    fileio,
     inner,
     lifting,
     load_instance,
@@ -93,29 +100,168 @@ def test_value_column_lp_agrees_with_dense_margins(text):
     result = check_restricted_arsp(pi, type_set, lifted)
     assert result.holds == dense_margin_holds(pi, type_set, lifted)
     assert bool(result.mixture) == result.holds != bool(result.trials)
+
+
+def _empty_set_trials(instance):
+    """The restricted queries "a subset of the empty set" that the data gives mass."""
+    lifted = instance.lifted
+    empty = (lifted.coordinate_for_subset(j, ()) for j in range(lifted.layout.problem_count))
+    return [Trial(j, (c,)) for j, c in enumerate(empty) if instance.pi.values[c]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(set_valued_texts())
+def test_check_agrees_with_dense_margins(text):
+    # check takes the verdict, the empty-set trial or the restricted LP; on
+    # order types any mass on the empty set fails the full axiom, and the
+    # first problem with such mass is the whole witness.
+    instance = parse_instance(text)
     report = run_check(instance, restricted=True)
-    assert report.restricted_holds == result.holds
+    holds = dense_margin_holds(instance.pi, instance.type_set, instance.lifted)
+    assert report.restricted_holds == holds
+    empty = _empty_set_trials(instance)
+    if empty:
+        assert report.restricted.trials == ((empty[0], 1),)
     assert run_verify(instance, report.to_structured()) == (True, [])
 
 
-def _lifted_restricted_cases(count):
-    """The first ``count`` instance texts of the benchmark's lifted-restricted
-    workload (seed 1): set-valued data over 4 alternatives."""
+# One explicit type picks the empty set, so the empty-set query does not
+# violate the axiom although the data puts mass on it: that type dominates
+# the data on every restricted query. Block coordinates: {}, {a}, {b}, {a,b}.
+EMPTY_PICKING_TYPES = json.dumps({
+    "universe": ["a", "b"],
+    "problems": [["a", "b"]],
+    "probabilities": [{"": "1/2", "b": "1/2"}],
+    "types": [[1, 0, 0, 0], [0, 1, 0, 0]],
+    "set_valued": True,
+})
+
+# The pairwise 3-cycle, a over b over c over a for sure, written as
+# set-valued singleton choices: no mass on the empty set, so only the
+# restricted LP finds the violating queries "a subset of {a}" in ab, and so on.
+CYCLE_AS_SETS = json.dumps({
+    "universe": ["a", "b", "c"],
+    "problems": [["a", "b"], ["b", "c"], ["a", "c"]],
+    "probabilities": [{"a": "1"}, {"b": "1"}, {"c": "1"}],
+    "types": "linear-orders",
+    "set_valued": True,
+})
+
+
+def _count_restricted_lp(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_restricted_arsp(*args)
+
+    monkeypatch.setattr(fileio, "check_restricted_arsp", counted)
+    return calls
+
+
+def test_types_picking_the_empty_set_reach_the_restricted_lp(monkeypatch):
+    instance = parse_instance(EMPTY_PICKING_TYPES)
+    calls = _count_restricted_lp(monkeypatch)
+    report = run_check(instance, restricted=True)
+    assert len(calls) == 1
+    assert not report.outcome.rationalizable
+    assert report.restricted_holds
+    assert dense_margin_holds(instance.pi, instance.type_set, instance.lifted)
+    (picks_empty, weight), = report.restricted.mixture
+    assert picks_empty.chosen == (0,) and weight == 1
+    assert run_verify(instance, report.to_structured()) == (True, [])
+
+
+def test_restricted_lp_witnesses_a_cycle_without_empty_set_mass(monkeypatch):
+    instance = parse_instance(CYCLE_AS_SETS)
+    calls = _count_restricted_lp(monkeypatch)
+    report = run_check(instance, restricted=True)
+    assert len(calls) == 1
+    assert not report.restricted_holds
+    # Problems ab, bc, ac; block coordinates {}, {x}, {y}, {x,y}.
+    assert report.restricted.trials == (
+        (Trial(0, (0, 1)), 1), (Trial(1, (4, 5)), 1), (Trial(2, (8, 10)), 1)
+    )
+    assert run_verify(instance, report.to_structured()) == (True, [])
+
+
+def test_empty_set_mass_lists_no_types_and_solves_no_restricted_lp(monkeypatch):
+    weak_random = next(
+        parse_instance(text) for text in _lifted_restricted_cases(8)
+        if '"weak-orders"' in text and _empty_set_trials(parse_instance(text))
+    )
+    instances = [load_instance(str(FIVE_ALTERNATIVES)), weak_random]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check listed the types or solved the restricted LP")
+
+    monkeypatch.setattr(fileio.Instance, "type_set", property(refuse))
+    monkeypatch.setattr(lifting, "solve_equality_feasibility", refuse)
+    for instance in instances:
+        assert instance.types in ("linear-orders", "weak-orders")
+        report = run_check(instance, restricted=True)
+        assert report.restricted.trials == ((_empty_set_trials(instance)[0], 1),)
+        assert run_verify(instance, report.to_structured()) == (True, [])
+
+
+def _workloads():
+    """The benchmark's instance generators, ``perfbench/workloads.py``."""
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # its dataclasses look their module up
     spec.loader.exec_module(workloads)
-    return [case.text for case in islice(workloads.stream("lifted-restricted", 1), count)]
+    return workloads
+
+
+def _lifted_restricted_cases(count):
+    """The first ``count`` instance texts of the benchmark's lifted-restricted
+    workload (seed 1): set-valued data over 4 alternatives."""
+    stream = _workloads().stream("lifted-restricted", 1)
+    return [case.text for case in islice(stream, count)]
+
+
+# Set-valued fixtures over all problems of size >= 2, linear-order types:
+# name -> (alternatives, planted weak orders or None for random data, seed)
+# of ``_set_valued_case``. Random data has mass on the empty set, so check
+# needs no restricted LP; planted data has none, so the LP runs.
+SET_VALUED_FIXTURES = {
+    "five_alternatives_set_valued.json": (5, None, 5),
+    "five_alternatives_set_valued_planted.json": (5, 3, 5),
+    "six_alternatives_set_valued.json": (6, None, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SET_VALUED_FIXTURES))
+def test_set_valued_fixtures(name, monkeypatch):
+    n, planted, seed = SET_VALUED_FIXTURES[name]
+    text, _, restricted = _workloads()._set_valued_case(
+        random.Random(seed), n, planted, "linear-orders"
+    )
+    path = ROOT / "tests" / "fixtures" / name
+    assert json.loads(path.read_text()) == json.loads(text)
+    instance = load_instance(str(path))
+    calls = _count_restricted_lp(monkeypatch)
+    report = run_check(instance, restricted=True)
+    assert not report.outcome.rationalizable
+    assert report.restricted_holds == restricted
+    assert bool(_empty_set_trials(instance)) == (planted is None)
+    assert len(calls) == (planted is not None)
+    assert run_verify(instance, report.to_structured()) == (True, [])
 
 
 def test_verify_solves_no_lp(monkeypatch):
     instances = [parse_instance(text) for text in _lifted_restricted_cases(48)]
     instances.append(load_instance(str(FIVE_ALTERNATIVES)))
+    instances.append(parse_instance(CYCLE_AS_SETS))
     reports = [run_check(i, restricted=True).to_structured() for i in instances]
     witnesses = [sorted(set(r["restricted_arsp"]) - {"holds"}) for r in reports]
     assert witnesses.count(["mixture"]) and witnesses.count(["trials"])
-    assert reports[-1]["restricted_arsp"]["holds"] is False
+    assert reports[-2]["restricted_arsp"]["holds"] is False
+    # The empty-set trial is one query; the cycle's witness, from the
+    # restricted LP, is three.
+    assert len(reports[-2]["restricted_arsp"]["trials"]) == 1
+    assert len(reports[-1]["restricted_arsp"]["trials"]) == 3
 
     def refuse(*args, **kwargs):
         raise AssertionError("verify solved an LP")
