@@ -6,8 +6,10 @@ restricted axiom, and for ``enumerate-types`` and
 ``facets`` in both formats and ``lift``, which print types as 0/1 rows. Two
 larger fixtures, all subsets of size >= 2 over six alternatives (planted and
 random data), pin structured ``check`` reports, plain and restricted, where
-the LP has hundreds of rows. After
-a deliberate change to an output format, regenerate them with
+the LP has hundreds of rows. A third, planted set-valued data over five
+alternatives, pins the one shipped restricted report whose mixture the
+restricted LP finds at scale (16 types). After a deliberate change to an
+output format, regenerate them with
 ``PYTHONPATH=src python tests/test_golden_reports.py`` and review the diff.
 """
 
@@ -32,8 +34,12 @@ CASES = [
 ]
 
 FIXTURE_CASES = [
-    (f"six_alternatives_all_subsets_{data}.json", restricted)
-    for data in ("planted", "random")
+    (name, restricted)
+    for name in (
+        "six_alternatives_all_subsets_planted.json",
+        "six_alternatives_all_subsets_random.json",
+        "five_alternatives_set_valued_planted.json",
+    )
     for restricted in (False, True)
 ]
 
