@@ -2,25 +2,25 @@
 
 Solves "find x >= 0 with A x = b" by a revised Phase-I simplex; when the
 system is infeasible the final duals give a Farkas certificate y with
-y A <= 0 componentwise and y b > 0. A is given by its nonzero entries, row
-by row, or by an oracle for its best column, so no caller builds a dense
-matrix.
+y A <= 0 componentwise and y b > 0. A has integer entries and is given by a
+``ColumnOracle``, which names the best column for given row prices and
+lists one column's nonzeros on demand, so no caller builds a matrix and the
+engine never scans one.
 
-Every row is first oriented so its right-hand side is nonnegative and scaled
-to integers; listed structural columns are then stored sparsely, as their
-nonzero entries. One artificial variable per row starts basic. The simplex
-keeps only the m x (m + 1) block [B^-1 | beta] of the tableau (B the basis,
-beta the basic values), as sparse rows, together with the objective row
-restricted to those columns; a structural column of the tableau is rebuilt
-on demand as B^-1 a_j.
+Every row is first oriented so its right-hand side is nonnegative and
+scaled so that right-hand side is an integer. One artificial variable per
+row starts basic. The simplex keeps only the m x (m + 1) block
+[B^-1 | beta] of the tableau (B the basis, beta the basic values), as sparse
+rows, together with the objective row restricted to those columns; a
+structural column of the tableau is rebuilt on demand as B^-1 a_j.
 
-Each iteration asks for the best structural column against the duals w:
-the objective entry of artificial i is its reduced cost 1 - w_i, so the
-reduced cost of column j is -w . a_j and the column with the largest
-w . a_j > 0 enters (ties to the lowest index). Listed rows price every
-column; a ``ColumnOracle`` names that column without listing any (the
-membership LP asks its type family for the best type), so both forms make
-the same pivots. The leaving row is chosen by the lexicographic ratio test
+Each iteration asks the oracle for the best structural column against the
+duals w: the objective entry of artificial i is its reduced cost 1 - w_i,
+so the reduced cost of column j is -w . a_j and the column with the largest
+w . a_j > 0 enters (ties to the first in the oracle's column order). The
+membership LP asks its type family for the best type, and the restricted
+LP sums the prices of its type rows per trial, so neither lists its
+columns. The leaving row is chosen by the lexicographic ratio test
 on the rows of [beta | B^-1] divided by the entering column (Dantzig, Orden
 & Wolfe, 1955). Those rows start lexicographically positive (beta >= 0,
 B^-1 = I), stay so, and are pairwise distinct because B^-1 is nonsingular,
@@ -67,11 +67,8 @@ back through the row scaling, are the Farkas multipliers).
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from typing import Hashable, Iterable, Protocol, Sequence, Union
 
 from . import _kernels
@@ -84,11 +81,11 @@ Rational = Union[int, Fraction]
 class FeasiblePoint:
     """A solution x >= 0 of A x = b whose support columns are independent.
 
-    ``x`` holds every column's value for listed rows, and maps the keys of
-    the basic columns to their values for a ``ColumnOracle``.
+    ``x`` maps the keys of the basic columns to their values (a basic value
+    may be zero); every other column is zero.
     """
 
-    x: tuple[Fraction, ...] | dict[Hashable, Fraction]
+    x: dict[Hashable, Fraction]
 
 
 @dataclass(frozen=True)
@@ -99,12 +96,13 @@ class FarkasCertificate:
 
 
 class ColumnOracle(Protocol):
-    """An integer matrix A seen through its columns, none of them listed.
+    """A matrix A of integers seen through its columns, none of them listed.
 
     ``len`` is A's row count. ``best(u)`` returns max over the columns a of
     u . a and the key of the first column attaining it, in a fixed column
     order; ``column(key)`` lists that column's nonzeros as (row, value)
-    pairs.
+    pairs, every value an integer. A caller with rational entries scales
+    each row and its right-hand side to integers first.
     """
 
     def __len__(self) -> int: ...
@@ -115,95 +113,41 @@ class ColumnOracle(Protocol):
 
 
 def solve_equality_feasibility(
-    rows: Sequence[Sequence[tuple[int, Rational]]] | ColumnOracle,
-    rhs: Sequence[Rational],
-    n_columns: int | None = None,
+    columns: ColumnOracle, rhs: Sequence[Rational]
 ) -> FeasiblePoint | FarkasCertificate:
     """Find x >= 0 with A x = b, or a Farkas certificate that none exists.
 
-    A has ``n_columns`` columns and ``rows[i]`` lists the nonzeros of its
-    row i as (column, value) pairs, each column at most once; the point's
-    ``x`` is then dense. Or ``rows`` is a ``ColumnOracle`` (no
-    ``n_columns``), which prices A's columns, and ``x`` maps the keys of the
-    columns the point uses to their values.
+    ``columns`` prices A's columns; the point's ``x`` maps the keys of the
+    basic columns to their values.
     """
-    m = len(rows)
+    m = len(columns)
     if m == 0:
         raise ValidationError("feasibility system needs at least one row")
     if len(rhs) != m:
         raise ValidationError("rhs length does not match row count")
 
-    # Orient every row so its right-hand side is nonnegative, then clear its
-    # denominators (an oracle's entries are integers). Positive row scalings
-    # change neither feasibility nor any sign the pivot rules look at; the
-    # Farkas multipliers are mapped back through them at the end.
+    # Orient every row so its right-hand side is nonnegative, then clear the
+    # right-hand side's denominator (the entries are integers already).
+    # Positive row scalings change neither feasibility nor any sign the pivot
+    # rules look at; the Farkas multipliers are mapped back through them at
+    # the end.
     scales: list[int] = []
     b: list[int] = []
-    for i in range(m):
-        bi = Fraction(rhs[i])
-        denom = bi.denominator
-        if n_columns is not None:
-            denom = math.lcm(denom, *{v.denominator for _, v in rows[i]})
-        scale = -denom if bi < 0 else denom
+    for bi in map(Fraction, rhs):
+        scale = -bi.denominator if bi < 0 else bi.denominator
         scales.append(scale)
         b.append((bi * scale).numerator)
 
-    if n_columns is None:
-        oracle = rows
+    def price(w):
+        return columns.best([wi * s for wi, s in zip(w, scales)])
 
-        def price(w):
-            return oracle.best([wi * s for wi, s in zip(w, scales)])
-
-        def column(key):
-            return [(i, v * scales[i]) for i, v in oracle.column(key)]
-
-    else:
-        price, column = _listed_columns(rows, scales, n_columns)
+    def column(key):
+        return [(i, v * scales[i]) for i, v in columns.column(key)]
 
     point, duals = _phase_one(b, price, column)
     if point is None:
         return FarkasCertificate(tuple(v * s for v, s in zip(duals, scales)))
-    if n_columns is None:
-        return FeasiblePoint(dict(point))
-    x = [Fraction(0)] * n_columns
-    for j, v in point:
-        x[j] = v
-    return FeasiblePoint(tuple(x))
-
-
-def _listed_columns(rows, scales: list[int], n_columns: int):
-    """(price, column) callbacks over the columns of the scaled rows.
-
-    A column is stored as the list of its nonzeros, each named by its index
-    into ``entries``, the distinct (row, scaled value) pairs of the matrix.
-    Pricing multiplies once per distinct pair rather than once per nonzero
-    (a 0/1 matrix has about one pair per row).
-    """
-    entry_id: defaultdict[tuple[int, int], int] = defaultdict(count().__next__)
-    columns: list[list[int]] = [[] for _ in range(n_columns)]
-    for i, row in enumerate(rows):
-        for j, v in row:
-            if not 0 <= j < n_columns:
-                raise ValidationError(f"row {i} has an entry in column {j}, out of range")
-            if v:
-                columns[j].append(entry_id[(i, (v * scales[i]).numerator)])
-    entries = list(entry_id)
-
-    def price(w):
-        priced = [w[i] * v for i, v in entries]
-        entering = -1
-        best = 0
-        for j, col in enumerate(columns):
-            d = sum(map(priced.__getitem__, col))
-            if d > best:
-                best = d
-                entering = j
-        return best, entering
-
-    def column(j):
-        return [entries[k] for k in columns[j]]
-
-    return price, column
+    return FeasiblePoint(dict(point))
 
 
 def _phase_one(b: list[int], price, column):

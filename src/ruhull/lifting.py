@@ -22,7 +22,7 @@ layout and carried across (``singleton_outcome``).
 
 from __future__ import annotations
 
-from collections import defaultdict
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -323,9 +323,10 @@ def check_restricted_arsp(
         v - sum of y_s over the trials s holding R's pick >= 1  for every type R,
         v = sum_s y_s * (T_s . pi),
 
-    solved exactly as equalities with a surplus column per type. A feasible
-    point's y, scaled to integers, is the violating multiset. Otherwise the
-    Farkas multipliers u_R of the type rows are >= 0 (surplus columns) with
+    solved exactly as equalities with a surplus column per type. The columns
+    are priced, not listed (``_RestrictedColumns``). A feasible point's y,
+    scaled to integers, is the violating multiset. Otherwise the Farkas
+    multipliers u_R of the type rows are >= 0 (surplus columns) with
     positive sum, and the v column bounds the value row's multiplier, so
     u / sum(u) is a mixture dominating the data on every restricted trial.
     """
@@ -333,23 +334,68 @@ def check_restricted_arsp(
         raise LayoutMismatch("data, types and lifted layout must agree")
     trials = restricted_trials(lifted)
     types = type_set.types
-    # Columns: v, then y_s (column s + 1), then surplus_R.
-    holding = defaultdict(list)  # coordinate -> columns of the trials querying it
-    for s, t in enumerate(trials, start=1):
-        for c in t.coordinates:
-            holding[c].append(s)
-    surplus = len(trials) + 1
-    rows = [
-        [(0, 1)] + [(s, -1) for c in typ.chosen for s in holding[c]] + [(surplus + r, -1)]
-        for r, typ in enumerate(types)
-    ]
-    value_row = [(s, -inner(t, pi)) for s, t in enumerate(trials, start=1)]
-    rows.append([(0, 1)] + [(s, v) for s, v in value_row if v])
-    result = solve_equality_feasibility(rows, [1] * len(types) + [0], surplus + len(types))
+    result = solve_equality_feasibility(
+        _RestrictedColumns(pi, types, trials), [1] * len(types) + [0]
+    )
     if isinstance(result, FeasiblePoint):
-        counts = primitive_integers(result.x[1:surplus])
+        counts = primitive_integers([result.x.get(s, 0) for s in range(1, len(trials) + 1)])
         return RestrictedArsp(False, trials=tuple((t, k) for t, k in zip(trials, counts) if k))
     total = sum(result.y[: len(types)])
     return RestrictedArsp(
         True, mixture=tuple((t, u / total) for t, u in zip(types, result.y) if u)
     )
+
+
+class _RestrictedColumns:
+    """The restricted LP's matrix as a column oracle over its three kinds of column.
+
+    Rows: one per type R, then the value row, scaled by L, the lcm of the
+    denominators of the nonzero T_s . pi, so every entry is an integer.
+    Keys, in column order: 0 is v (1 in every type row, L in the value
+    row); s + 1 is y_s (-1 in the row of each type whose pick T_s holds,
+    -L (T_s . pi) in the value row); k + 1 + r is the surplus of type r
+    (-1 in its row), for k trials. Pricing sums the type rows' prices once
+    per coordinate, W[c] over the types picking c, so y_s is priced as
+    -sum of W over T_s and no column is listed.
+    """
+
+    def __init__(
+        self,
+        pi: StochasticChoiceVector,
+        types: Sequence[ChoiceTypeVector],
+        trials: Sequence[Trial],
+    ):
+        self.n_types = len(types)
+        self.trials = trials
+        value = [inner(t, pi) for t in trials]
+        self.scale = math.lcm(*(v.denominator for v in value if v))
+        self.value = [int(v * self.scale) for v in value]
+        self.picked_by = [[] for _ in pi.values]  # coordinate -> rows of the types picking it
+        for r, t in enumerate(types):
+            for c in t.chosen:
+                self.picked_by[c].append(r)
+
+    def __len__(self) -> int:
+        return self.n_types + 1
+
+    def best(self, u: Sequence[int]) -> tuple[int, int]:
+        n, u_value = self.n_types, u[-1]
+        w = [sum(map(u.__getitem__, rows)) for rows in self.picked_by]
+        values = [sum(u[:n]) + self.scale * u_value]
+        values += (
+            -sum(map(w.__getitem__, t.coordinates)) - u_value * v
+            for t, v in zip(self.trials, self.value)
+        )
+        values += (-ur for ur in u[:n])
+        top = max(values)
+        return top, values.index(top)
+
+    def column(self, key: int) -> list[tuple[int, int]]:
+        n, k = self.n_types, len(self.trials)
+        if key == 0:
+            return [(r, 1) for r in range(n)] + [(n, self.scale)]
+        if key <= k:
+            s = key - 1
+            out = [(r, -1) for c in self.trials[s].coordinates for r in self.picked_by[c]]
+            return (out + [(n, -self.value[s])]) if self.value[s] else out
+        return [(key - k - 1, -1)]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -11,6 +12,7 @@ from ruhull import (
     types_from_linear_orders,
     validate_pi,
 )
+from ruhull.exactlp import FarkasCertificate, solve_equality_feasibility
 
 LABELS = "abcdefghij"
 
@@ -157,6 +159,59 @@ def inequality_tight_set(normal, offset, vertices):
     assert max(vals) == offset, "inequality is not tight at any vertex"
     assert all(v <= offset for v in vals), "inequality is not valid"
     return frozenset(i for i, v in enumerate(vals) if v == offset)
+
+
+# --- listed rows ----------------------------------------------------------------
+#
+# The engine takes only a column oracle. These adapt a matrix written out row
+# by row, for the tests and for the reference LPs that list their rows.
+
+
+class MatrixOracle:
+    """Rows listed by their nonzeros, seen as a ``ColumnOracle`` keyed by column.
+
+    ``rows[i]`` lists the (column, value) pairs of row i; values may be
+    rational. The oracle holds row i times ``scales[i]``, the lcm of the
+    denominators of its entries and of ``rhs[i]``, so every entry is an
+    integer, and ``rhs`` holds the scaled right-hand sides. ``best`` prices
+    every column; ties go to the lowest index.
+    """
+
+    def __init__(self, rows, rhs, n_columns):
+        self.n_rows = len(rows)
+        self.scales = [
+            math.lcm(Fraction(b).denominator, *(Fraction(v).denominator for _, v in row))
+            for row, b in zip(rows, rhs)
+        ]
+        self.rhs = [int(Fraction(b) * s) for b, s in zip(rhs, self.scales)]
+        self.columns = [[] for _ in range(n_columns)]
+        for i, (row, s) in enumerate(zip(rows, self.scales)):
+            for j, v in row:
+                if v:
+                    self.columns[j].append((i, int(Fraction(v) * s)))
+
+    def __len__(self):
+        return self.n_rows
+
+    def best(self, u):
+        values = [sum(u[i] * v for i, v in col) for col in self.columns]
+        top = max(values)
+        return top, values.index(top)
+
+    def column(self, j):
+        return self.columns[j]
+
+
+def solve_rows(rows, rhs, n_columns):
+    """``solve_equality_feasibility`` on listed rows (see ``MatrixOracle``).
+
+    A Farkas certificate's multipliers are mapped back to the rows as given.
+    """
+    oracle = MatrixOracle(rows, rhs, n_columns)
+    result = solve_equality_feasibility(oracle, oracle.rhs)
+    if isinstance(result, FarkasCertificate):
+        return FarkasCertificate(tuple(y * s for y, s in zip(result.y, oracle.scales)))
+    return result
 
 
 # --- random generators --------------------------------------------------------

@@ -22,30 +22,38 @@ from ruhull.exactlp import (
 )
 
 from conftest import (
+    MatrixOracle,
     _rref,
     make_instance,
     random_mixture_pi,
     random_rational_pi,
     seeded,
+    solve_rows,
 )
 
 
 def solve(rows, rhs):
     """Solve a system written as dense rows, handing the solver their nonzeros."""
     nonzeros = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
-    return solve_equality_feasibility(nonzeros, rhs, len(rows[0]))
+    return solve_rows(nonzeros, rhs, len(rows[0]))
+
+
+def dense(point, n):
+    """The point's value on every one of n columns."""
+    return tuple(point.x.get(j, 0) for j in range(n))
 
 
 def check_result(rows, rhs, result):
     """Either branch must carry an exact, self-validating witness."""
     m, n = len(rows), len(rows[0])
     if isinstance(result, FeasiblePoint):
-        assert all(v >= 0 for v in result.x)
+        x = dense(result, n)
+        assert all(v >= 0 for v in x)
         for i in range(m):
-            assert sum(rows[i][j] * result.x[j] for j in range(n)) == rhs[i]
+            assert sum(rows[i][j] * x[j] for j in range(n)) == rhs[i]
         # A basic solution: its support columns are linearly independent
         # (this bounds the support of a membership mixture).
-        support = [j for j in range(n) if result.x[j]]
+        support = [j for j in range(n) if x[j]]
         independent, _ = _rref([[row[j] for row in rows] for j in support])
         assert len(independent) == len(support)
     else:
@@ -60,7 +68,7 @@ def test_simple_feasible():
     rhs = [2, 0]
     result = solve(rows, rhs)
     assert isinstance(result, FeasiblePoint)
-    assert result.x == (1, 1)
+    assert dense(result, 2) == (1, 1)
 
 
 def test_simple_infeasible():
@@ -93,7 +101,7 @@ def test_zero_rhs():
     rhs = [0, 0]
     result = solve(rows, rhs)
     assert isinstance(result, FeasiblePoint)
-    assert result.x == (0, 0)
+    assert dense(result, 2) == (0, 0)
 
 
 def test_negative_rhs_row_is_reoriented():
@@ -101,33 +109,29 @@ def test_negative_rhs_row_is_reoriented():
     rhs = [-3, 2]
     result = solve(rows, rhs)
     assert isinstance(result, FeasiblePoint)
-    assert result.x == (3, 2)
+    assert dense(result, 2) == (3, 2)
 
 
 def test_rational_entries():
+    # Scaled to the integer row 2 x1 + x2 = 3: x1 enters and is the one
+    # basic column.
     rows = [[Fraction(1, 3), Fraction(1, 6)]]
     rhs = [Fraction(1, 2)]
     result = solve(rows, rhs)
     check_result(rows, rhs, result)
-    assert isinstance(result, FeasiblePoint)
-
-
-def test_column_out_of_range_rejected():
-    for column in (2, -1):
-        with pytest.raises(ValidationError, match="out of range"):
-            solve_equality_feasibility([[(0, 1), (column, 1)]], [1], 2)
+    assert result == FeasiblePoint({0: Fraction(3, 2)})
 
 
 def test_column_without_nonzeros():
-    # Columns that no row lists are zero columns: they stay at zero.
-    result = solve_equality_feasibility([[(1, 2)]], [4], 3)
-    assert isinstance(result, FeasiblePoint)
-    assert result.x == (0, 2, 0)
+    # Columns that no row lists are zero columns: they never enter, so the
+    # point has no key for them.
+    result = solve_rows([[(1, 2)]], [4], 3)
+    assert result == FeasiblePoint({1: 2})
 
 
 def test_empty_rejected():
     with pytest.raises(ValidationError):
-        solve_equality_feasibility([], [], 0)
+        solve_equality_feasibility(MatrixOracle([], [], 0), [])
 
 
 def test_degenerate_ties_terminate():
@@ -269,43 +273,17 @@ def dense_phase_one(b, price, column, pivots):
     return None, [Fraction(wi, divisor) for wi in w]
 
 
-class MatrixOracle:
-    """A dense integer matrix seen as a ``ColumnOracle`` (keys: column indices)."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def __len__(self):
-        return len(self.rows)
-
-    def best(self, u):
-        values = [
-            sum(ui * row[j] for ui, row in zip(u, self.rows)) for j in range(len(self.rows[0]))
-        ]
-        best = max(values)
-        return best, values.index(best)
-
-    def column(self, j):
-        return [(i, row[j]) for i, row in enumerate(self.rows) if row[j]]
-
-
-def solve_any(rows, rhs, oracle):
-    if oracle:
-        return solve_equality_feasibility(MatrixOracle(rows), rhs)
-    return solve(rows, rhs)
-
-
-def solve_dense(rows, rhs, oracle=False):
+def solve_dense(rows, rhs):
     """The reference's result and its (entering, leaving, rows hit) pivots."""
     pivots = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
             exactlp, "_phase_one", lambda b, price, column: dense_phase_one(b, price, column, pivots)
         )
-        return solve_any(rows, rhs, oracle), pivots
+        return solve(rows, rhs), pivots
 
 
-def solve_sparse(rows, rhs, oracle=False, events=None):
+def solve_sparse(rows, rhs, events=None):
     """The engine's result and its pivots, recorded like the reference's.
 
     With ``events``, also logs "price" before each pricing and the
@@ -341,7 +319,7 @@ def solve_sparse(rows, rhs, oracle=False, events=None):
         mp.setattr(exactlp, "_leaving_row", recorded_leaving_row)
         if events is not None:
             mp.setattr(_kernels, "bareiss_row", recorded_kernel)
-        return solve_any(rows, rhs, oracle), pivots
+        return solve(rows, rhs), pivots
 
 
 @st.composite
@@ -374,17 +352,16 @@ def sparse_systems(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(sparse_systems(), st.booleans())
-def test_sparse_engine_matches_dense_reference(system, oracle):
+@given(sparse_systems())
+def test_sparse_engine_matches_dense_reference(system):
     # Same entering and leaving sequence, same rows hit, and the same exact
-    # point or Farkas multipliers, for listed rows and for a ColumnOracle.
+    # point or Farkas multipliers.
     rows, rhs = system
-    expected, expected_pivots = solve_dense(rows, rhs, oracle)
-    result, pivots = solve_sparse(rows, rhs, oracle)
+    expected, expected_pivots = solve_dense(rows, rhs)
+    result, pivots = solve_sparse(rows, rhs)
     assert pivots == expected_pivots
     assert result == expected
-    if not oracle:
-        check_result(rows, rhs, result)
+    check_result(rows, rhs, result)
 
 
 def test_pivot_updates_only_the_rows_it_touches():

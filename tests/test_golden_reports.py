@@ -13,6 +13,7 @@ output format, regenerate them with
 ``PYTHONPATH=src python tests/test_golden_reports.py`` and review the diff.
 """
 
+import hashlib
 import itertools
 import pathlib
 import sys
@@ -67,6 +68,27 @@ def _golden_path(name, fmt, restricted):
     return GOLDEN / f"{pathlib.Path(name).stem}.{fmt}.compressed{suffix}.out"
 
 
+def assert_matches_golden(out, path):
+    """Fail unless ``out`` equals the golden at ``path``, byte for byte.
+
+    Length and sha256 decide; on a mismatch the first differing line is
+    reported, so a large golden never has pytest diff two whole reports.
+    """
+    expected = path.read_text(encoding="utf-8")
+    if len(out) == len(expected) and _sha256(out) == _sha256(expected):
+        return
+    lines = itertools.zip_longest(out.split("\n"), expected.split("\n"))
+    number, (got, want) = next((n, pair) for n, pair in enumerate(lines, 1) if pair[0] != pair[1])
+    pytest.fail(
+        f"{path.name} differs at line {number}:\n  got:      {got!r}\n  expected: {want!r}",
+        pytrace=False,
+    )
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).digest()
+
+
 def _subcommand_argv(name, command, fmt):
     argv = [command, str(SAMPLES / name)]
     return argv + ["--format", fmt] if fmt else argv
@@ -81,23 +103,20 @@ def _subcommand_golden_path(name, command, fmt):
 def test_check_stdout_matches_golden(name, fmt, restricted, capsys):
     code = main(_argv(name, fmt, restricted))
     assert code in (0, 3)
-    expected = _golden_path(name, fmt, restricted).read_text(encoding="utf-8")
-    assert capsys.readouterr().out == expected
+    assert_matches_golden(capsys.readouterr().out, _golden_path(name, fmt, restricted))
 
 
 @pytest.mark.parametrize("name,restricted", FIXTURE_CASES)
 def test_fixture_check_stdout_matches_golden(name, restricted, capsys):
     code = main(_argv(name, "structured", restricted, FIXTURES))
     assert code in (0, 3)
-    expected = _golden_path(name, "structured", restricted).read_text(encoding="utf-8")
-    assert capsys.readouterr().out == expected
+    assert_matches_golden(capsys.readouterr().out, _golden_path(name, "structured", restricted))
 
 
 @pytest.mark.parametrize("name,command,fmt", SUBCOMMAND_CASES)
 def test_subcommand_stdout_matches_golden(name, command, fmt, capsys):
     assert main(_subcommand_argv(name, command, fmt)) == 0
-    expected = _subcommand_golden_path(name, command, fmt).read_text(encoding="utf-8")
-    assert capsys.readouterr().out == expected
+    assert_matches_golden(capsys.readouterr().out, _subcommand_golden_path(name, command, fmt))
 
 
 def _regenerate():

@@ -30,7 +30,7 @@ from ruhull import (
     types_from_linear_orders,
     validate_pi,
 )
-from ruhull.exactlp import FeasiblePoint, solve_equality_feasibility
+from ruhull.exactlp import FeasiblePoint
 
 from conftest import (
     LABELS,
@@ -38,6 +38,7 @@ from conftest import (
     random_mixture_pi,
     random_rational_pi,
     seeded,
+    solve_rows,
 )
 
 FACET_COORDINATES = 20  # the facet oracle runs on hulls up to this size
@@ -52,7 +53,7 @@ def full_row_verdict(pi, type_set):
         for i in t.chosen:
             rows[i].append(entry)
     rows.append(ones)
-    result = solve_equality_feasibility(rows, list(pi.values) + [1], len(types))
+    result = solve_rows(rows, list(pi.values) + [1], len(types))
     return isinstance(result, FeasiblePoint)
 
 

@@ -37,9 +37,9 @@ from ruhull import (
     run_check,
     run_verify,
 )
-from ruhull.exactlp import FeasiblePoint, solve_equality_feasibility
+from ruhull.exactlp import FeasiblePoint
 
-from conftest import LABELS
+from conftest import LABELS, solve_rows
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIVE_ALTERNATIVES = ROOT / "tests" / "fixtures" / "five_alternatives_set_valued.json"
@@ -59,7 +59,7 @@ def dense_margin_holds(pi, type_set, lifted):
     for r, typ in enumerate(type_set.types):
         margins = (p - (typ.chosen[t.block] in t.coordinates) for p, t in zip(trial_pi, trials))
         rows.append([(s, m) for s, m in enumerate(margins) if m] + [(n_trials + r, -1)])
-    result = solve_equality_feasibility(rows, [Fraction(1)] * len(rows), n_trials + len(rows))
+    result = solve_rows(rows, [Fraction(1)] * len(rows), n_trials + len(rows))
     return not isinstance(result, FeasiblePoint)
 
 
@@ -100,6 +100,23 @@ def test_value_column_lp_agrees_with_dense_margins(text):
     result = check_restricted_arsp(pi, type_set, lifted)
     assert result.holds == dense_margin_holds(pi, type_set, lifted)
     assert bool(result.mixture) == result.holds != bool(result.trials)
+
+
+@settings(max_examples=80, deadline=None)
+@given(set_valued_texts(), st.data())
+def test_restricted_oracle_prices_its_own_columns(text, data):
+    # best(u) is the largest u . column(key) over every key, and the first
+    # key in key order attaining it; every entry is an integer.
+    instance = parse_instance(text)
+    trials = restricted_trials(instance.lifted)
+    types = instance.type_set.types
+    oracle = lifting._RestrictedColumns(instance.pi, types, trials)
+    u = data.draw(st.lists(st.integers(-4, 4), min_size=len(oracle), max_size=len(oracle)))
+    columns = [oracle.column(key) for key in range(1 + len(trials) + len(types))]
+    assert all(type(v) is int for column in columns for _, v in column)
+    priced = [sum(u[i] * v for i, v in column) for column in columns]
+    top = max(priced)
+    assert oracle.best(u) == (top, priced.index(top))
 
 
 def _empty_set_trials(instance):
