@@ -236,12 +236,6 @@ class OrderTypes:
         value = best[states - 1] // unit
         return (value if denom == 1 else Fraction(value, denom)), ChoiceTypeVector(tuple(chosen))
 
-    def single_type(self) -> ChoiceTypeVector | None:
-        """The family's type when it has exactly one (every problem has one pick), else None."""
-        if any(len(picks) != 1 for picks in self._picks):
-            return None
-        return ChoiceTypeVector(tuple(next(iter(picks.values())) for picks in self._picks))
-
     def admits(self, t: ChoiceTypeVector) -> bool:
         """Whether some order of the family picks ``t.chosen[j]`` in every problem j."""
         if len(t.chosen) != len(self._masks):

@@ -548,8 +548,10 @@ def run_check(
         if lifted is None:
             # Singleton data: every type picks a singleton, so the base
             # decision carries across to the lifted layout.
-            lifted = lift_layout(instance.universe, instance.problems)
-            outcome = singleton_outcome(outcome, lifted)
+            lifted, lifted_pi = _lift(instance)
+            outcome = singleton_outcome(
+                outcome, lifted_pi, _family(instance, lifted), lifted
+            )
         elif axiom is None:
             axiom = empty_set_trial(pi, family, lifted) or check_restricted_arsp(
                 pi, instance.type_set, lifted

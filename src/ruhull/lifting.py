@@ -17,21 +17,23 @@ either way. The restricted axiom is implied by full rationalizability but
 does not imply it; see the tests for a two-alternative instance witnessing
 the gap. Two cases need no restricted LP: mass on the empty set that no
 type picks (``empty_set_trial``), and singleton data, decided on the base
-layout and carried across (``singleton_outcome``).
+layout and carried across (``singleton_outcome``: a mixture's types map to
+their singletons, and a certificate is rebuilt by ``make_certificate`` from
+the mapped separator).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .certificate import CheckOutcome
+from .certificate import CheckOutcome, make_certificate
 from .errors import CapExceeded, LayoutMismatch, ValidationError
 from .exactlp import FeasiblePoint, solve_equality_feasibility
-from .membership import MixingDistribution
+from .membership import MixingDistribution, SeparatingVector
 from .model import (
     ChoiceProblem,
     ChoiceTypeVector,
@@ -44,7 +46,6 @@ from .model import (
     TypeFamily,
     build_layout,
     inner,
-    make_trial_sequence,
     make_type_set,
     primitive_integers,
     to_rational,
@@ -107,24 +108,20 @@ class LiftedLayout:
         return self.coordinate_subsets[block.start : block.stop]
 
 
-def lift_layout(
-    universe: ChoiceUniverse,
-    problems: Sequence[ChoiceProblem],
-    max_coordinates: int = MAX_LIFTED_COORDINATES,
-) -> LiftedLayout:
+def lift_layout(universe: ChoiceUniverse, problems: Sequence[ChoiceProblem]) -> LiftedLayout:
     """Build the lifted layout; subsets ordered by cardinality then position."""
     if not problems:
         raise ValidationError("empty problem list")
     would_be = sum(1 << p.size for p in problems)
-    if would_be > max_coordinates:
+    if would_be > MAX_LIFTED_COORDINATES:
         raise CapExceeded(
             f"lifting would create {would_be} coordinates, above the cap of "
-            f"{max_coordinates}"
+            f"{MAX_LIFTED_COORDINATES}"
         )
-    if (1 << universe.size) > max_coordinates:
+    if (1 << universe.size) > MAX_LIFTED_COORDINATES:
         raise CapExceeded(
             f"the power-set universe would have {1 << universe.size} elements, "
-            f"above the cap of {max_coordinates}"
+            f"above the cap of {MAX_LIFTED_COORDINATES}"
         )
 
     size = universe.size
@@ -204,15 +201,20 @@ def singleton_types(type_set: RationalTypeSet, lifted: LiftedLayout) -> Rational
     return make_type_set(types, lifted.layout)
 
 
-def singleton_outcome(outcome: CheckOutcome, lifted: LiftedLayout) -> CheckOutcome:
+def singleton_outcome(
+    outcome: CheckOutcome,
+    pi: StochasticChoiceVector,
+    types: TypeFamily,
+    lifted: LiftedLayout,
+) -> CheckOutcome:
     """Carry a decision on the base layout onto the lifted layout's singletons.
 
-    Mixture types, separators, aggregates and trials move coordinate by
-    coordinate to their singletons, with zeros on every other subset. Every
-    type picks a singleton, so gap, lhs and rhs stay as they are; and the
-    map keeps the order of coordinates, so the lifted certificate is the
-    pipeline's own: a nonnegative separator positivizes to itself and its
-    aggregate peels into the mapped trials.
+    ``pi`` and ``types`` are the data and types on the lifted layout. Mixture
+    types move coordinate by coordinate to their singletons. A separator
+    moves the same way, with zeros on every other subset, and the
+    certificate pipeline runs on it over the lifted layout: every type picks
+    a singleton, so the gap stays as it is, and singletons keep the base
+    order inside each block, so the trials are the mapped ones.
     """
     to = lifted.singleton_coordinates
     if outcome.mixture is not None:
@@ -221,25 +223,12 @@ def singleton_outcome(outcome: CheckOutcome, lifted: LiftedLayout) -> CheckOutco
             for t, w in outcome.mixture.weights
         )
         return CheckOutcome(MixingDistribution(lifted.layout, weights), None)
-
-    def spread(values):
-        out = [0] * lifted.layout.coordinate_count
-        for c, v in zip(to, values):
-            out[c] = v
-        return tuple(out)
-
-    cert = outcome.certificate
-    trials = (
-        Trial(t.block, tuple(map(to.__getitem__, t.coordinates))) for t in cert.trials.trials
-    )
-    lifted_cert = replace(
-        cert,
-        separating=replace(cert.separating, direction=spread(cert.separating.direction)),
-        positivized=spread(cert.positivized),
-        integer_aggregate=spread(cert.integer_aggregate),
-        trials=make_trial_sequence(trials, lifted.layout),
-    )
-    return CheckOutcome(None, lifted_cert)
+    separating = outcome.certificate.separating
+    direction = [0] * lifted.layout.coordinate_count
+    for c, v in zip(to, separating.direction):
+        direction[c] = v
+    lifted_separating = SeparatingVector(tuple(direction), separating.gap)
+    return CheckOutcome(None, make_certificate(lifted_separating, pi, types))
 
 
 def restricted_trials(lifted: LiftedLayout) -> tuple[Trial, ...]:

@@ -16,9 +16,9 @@ coords - problems + 1 rows. The Farkas multipliers are zero-padded back to
 full length and each block is then shifted so its minimum is 0. A shift
 constant on a block moves the data and every type by the same amount, so
 the gap is unchanged; the separator is nonnegative, and so is already the
-vector the certificate pipeline positivizes. A one-type set needs no LP: its
-separator is +-1 on the first coordinate where the data differs from the
-type, shifted and scaled the same way.
+vector the certificate pipeline positivizes. A one-type set takes the same
+LP: a single column decides it, and its Farkas vector is shifted the same
+way.
 
 The LP lists no columns. Each simplex iteration asks the type family for
 its best type under the current row prices (``enumeration.OrderTypes`` by
@@ -99,29 +99,18 @@ def test_membership(
     layout = pi.layout
     n_coords = layout.coordinate_count
     blocks = [layout.block_range(j) for j in range(layout.problem_count)]
+
+    # One row per coordinate but the last of its block, then the convexity
+    # row.
+    kept = [i for block in blocks for i in block[:-1]]
+    rhs = [pi.values[i] for i in kept] + [Fraction(1)]
+    result = solve_equality_feasibility(_TypeColumns(types, kept, n_coords), rhs)
+    if isinstance(result, FeasiblePoint):
+        used = sorted(result.x.items(), key=lambda tw: tw[0].chosen, reverse=True)
+        return MixingDistribution(layout, tuple((t, w) for t, w in used if w != 0))
     y = [Fraction(0)] * n_coords
-
-    only = types.single_type()
-    if only is not None:
-        picked = set(only.chosen)
-        diff = [v - int(k in picked) for k, v in enumerate(pi.values)]
-        if not any(diff):
-            return MixingDistribution(layout, ((only, Fraction(1)),))
-        # Deterministic separator: the sign of the first differing coordinate.
-        i = next(k for k, d in enumerate(diff) if d)
-        y[i] = Fraction(1 if diff[i] > 0 else -1)
-    else:
-        # One row per coordinate but the last of its block, then the
-        # convexity row.
-        kept = [i for block in blocks for i in block[:-1]]
-        rhs = [pi.values[i] for i in kept] + [Fraction(1)]
-        result = solve_equality_feasibility(_TypeColumns(types, kept, n_coords), rhs)
-        if isinstance(result, FeasiblePoint):
-            used = sorted(result.x.items(), key=lambda tw: tw[0].chosen, reverse=True)
-            return MixingDistribution(layout, tuple((t, w) for t, w in used if w != 0))
-        for i, v in zip(kept, result.y):
-            y[i] = v
-
+    for i, v in zip(kept, result.y):
+        y[i] = v
     for block in blocks:
         low = min(y[i] for i in block)
         for i in block:

@@ -191,10 +191,6 @@ class StochasticChoiceVector:
     layout: IndexLayout
     values: tuple[Fraction, ...]
 
-    @property
-    def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
-
 
 def validate_pi(values: Sequence[Rational], layout: IndexLayout) -> StochasticChoiceVector:
     """Validate and freeze a stochastic choice vector.
@@ -277,9 +273,6 @@ class RationalTypeSet:
     def admits(self, t: ChoiceTypeVector) -> bool:
         return t in self._members
 
-    def single_type(self) -> ChoiceTypeVector | None:
-        return self.types[0] if len(self.types) == 1 else None
-
     @cached_property
     def _members(self) -> frozenset[ChoiceTypeVector]:
         return frozenset(self.types)
@@ -288,6 +281,8 @@ class RationalTypeSet:
 class TypeFamily(Protocol):
     """The admissible types on a layout, asked rather than listed.
 
+    Two questions: the best type under a functional, and whether a type is
+    admitted. Every decision, a one-type set's included, asks only these.
     ``RationalTypeSet`` answers by a scan of its listed types and
     ``enumeration.OrderTypes`` by a dynamic program over orders; both break
     ties to the canonically first type, so every answer is the same.
@@ -300,9 +295,6 @@ class TypeFamily(Protocol):
 
     def admits(self, t: ChoiceTypeVector) -> bool:
         """Whether ``t`` is one of the types."""
-
-    def single_type(self) -> ChoiceTypeVector | None:
-        """The only type when there is exactly one, else None."""
 
 
 def make_type_set(
@@ -394,11 +386,7 @@ def primitive_integers(values: Sequence[Rational]) -> tuple[int, ...]:
 
 
 def _as_vector(x) -> Sequence[Rational]:
-    if isinstance(x, StochasticChoiceVector):
-        return x.values
-    if isinstance(x, TrialSequence):
-        return x.aggregate
-    return x
+    return x.values if isinstance(x, StochasticChoiceVector) else x
 
 
 def _ones(x) -> tuple[int, ...] | None:

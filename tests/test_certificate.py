@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruhull import (
+    CheckOutcome,
     SeparatingVector,
     ValidationError,
     arsp_check,
@@ -122,6 +123,16 @@ class TestDecompose:
         with pytest.raises(ValidationError):
             decompose_to_trials([0] * 6, layout)
 
+    def test_wrong_length_rejected(self, pairwise3):
+        _, _, layout, _ = pairwise3
+        with pytest.raises(ValidationError, match="aggregate has length 5, expected 6"):
+            decompose_to_trials([1] * 5, layout)
+
+    def test_negative_entry_rejected(self, pairwise3):
+        _, _, layout, _ = pairwise3
+        with pytest.raises(ValidationError, match="must be nonnegative"):
+            decompose_to_trials([1, 0, 0, -1, 1, 0], layout)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_decomposition_rebuilds_aggregate(self, data):
@@ -208,3 +219,11 @@ def test_pipeline_bookkeeping_on_random_violations(seed):
 
     cert = make_certificate(SeparatingVector(shifted, gap_before), pi, ts)
     assert not arsp_check(cert.trials, pi, ts).holds
+
+
+def test_outcome_holds_exactly_one_witness(pairwise3, cyclic_pi, uniform_pi):
+    _, _, _, ts = pairwise3
+    both = (decide(uniform_pi, ts).mixture, decide(cyclic_pi, ts).certificate)
+    for mixture, certificate in (both, (None, None)):
+        with pytest.raises(ValidationError, match="exactly one of mixture/certificate"):
+            CheckOutcome(mixture, certificate)

@@ -435,6 +435,17 @@ def test_bareiss_row_rejects_inexact_division():
         _kernels.bareiss_row({0: 1, 1: 1}, {0: 1}, 1, 1, 3)
 
 
+def test_bareiss_row_rejects_inexact_division_on_the_pivot_row():
+    # The same check where the pivot row meets the row: (1 - 2) / 3.
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        _kernels.bareiss_row({0: 1}, {0: 2}, 1, 1, 3)
+
+
+def test_rhs_length_must_match_rows():
+    with pytest.raises(ValidationError, match="rhs length does not match row count"):
+        solve_equality_feasibility(MatrixOracle([[(0, 1)], [(0, 1)]], [1, 1], 1), [1])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=6),

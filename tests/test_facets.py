@@ -6,6 +6,7 @@ import pytest
 
 from ruhull import (
     CapExceeded,
+    LayoutMismatch,
     MixingDistribution,
     arsp_check,
     enumerate_facets,
@@ -68,6 +69,13 @@ class TestSmallInstances:
         assert facet_membership_oracle(pinned, h)
         other = validate_pi([0, 1, 0, 1], layout)
         assert not facet_membership_oracle(other, h)
+
+    def test_layouts_must_match(self, pairwise3_hrep):
+        _, _, other = make_instance("ab", [("a", "b")])
+        with pytest.raises(LayoutMismatch, match="disagree on layout"):
+            facet_membership_oracle(validate_pi([1, 0], other), pairwise3_hrep)
+        with pytest.raises(LayoutMismatch, match="does not match layout"):
+            essential_sequences(pairwise3_hrep, other)
 
     def test_caps(self, pairwise3):
         # The message names the job's size (6 vertices, 6 coordinates) and

@@ -791,6 +791,14 @@ RESTRICTED_FAILURES = [
     ("claim-not-an-object", RESTRICTED_FAILS_TEXT,
      lambda report: report.update(restricted_arsp=[False]),
      ['restricted-axiom claim is not {"holds": true|false, ...}']),
+    # Where the full verdict decides the restricted axiom, a claim against
+    # it fails: singleton data that is not a mixture, and set-valued data
+    # that is one.
+    ("singleton-claims-holds", CYCLIC_TEXT, _restricted(holds=True),
+     ["the verdict makes the restricted axiom hold=False, report claims True"]),
+    ("rationalizable-claims-fails", _set_valued_text({"a": "1/3", "b": "2/3"}),
+     _restricted(holds=False),
+     ["the verdict makes the restricted axiom hold=True, report claims False"]),
 ]
 
 

@@ -67,9 +67,11 @@ class TestLiftLayout:
             assert () in lifted.block_subsets(j)
 
     def test_cap_reports_would_be_size(self):
-        universe, problems, _ = make_instance("abcde", [tuple("abcde")])
-        with pytest.raises(CapExceeded, match="32"):
-            lift_layout(universe, problems, max_coordinates=16)
+        # 2^17 subsets of one problem: the cap stops it before anything is built.
+        labels = "abcdefghijklmnopq"
+        universe, problems, _ = make_instance(labels, [tuple(labels)])
+        with pytest.raises(CapExceeded, match="131072 coordinates, above the cap of 65536"):
+            lift_layout(universe, problems)
 
     def test_subset_order_is_cardinality_then_position(self):
         universe, problems, _ = make_instance("abc", [("a", "b", "c")])
@@ -107,6 +109,31 @@ class TestLiftData:
         _, _, lifted = pair_lift
         with pytest.raises(ValidationError, match="sum"):
             lift_set_valued_data([{("a",): Fraction(1, 2)}], lifted)
+
+    def test_observation_count_enforced(self, pair_lift):
+        _, _, lifted = pair_lift
+        with pytest.raises(ValidationError, match="expected 1 observation maps, got 2"):
+            lift_set_valued_data([{("a",): 1}, {("b",): 1}], lifted)
+
+    def test_repeated_label_rejected(self, pair_lift):
+        _, _, lifted = pair_lift
+        with pytest.raises(ValidationError, match="repeats a label"):
+            lift_set_valued_data([{("a", "a"): 1}], lifted)
+
+    def test_empty_problem_list_rejected(self, pair_lift):
+        universe, _, _ = pair_lift
+        with pytest.raises(ValidationError, match="empty problem list"):
+            lift_layout(universe, [])
+
+    def test_layouts_must_match(self, pair_lift):
+        universe, problems, lifted = pair_lift
+        _, _, other = make_instance("abc", [("a", "b", "c")])
+        with pytest.raises(LayoutMismatch, match="lifted layout's base"):
+            singleton_choice_data(validate_pi([1, 0, 0], other), lifted)
+        base = validate_pi([1, 0], lifted.base_layout)
+        types = correspondence_types_from_linear_orders(universe, problems, lifted)
+        with pytest.raises(LayoutMismatch, match="must agree"):
+            check_restricted_arsp(base, types, lifted)
 
     def test_singleton_data_reexpression(self):
         universe, problems, layout = make_instance("ab", [("a", "b")])

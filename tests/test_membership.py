@@ -1,3 +1,5 @@
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from ruhull import (
     types_from_linear_orders,
     validate_pi,
 )
+from ruhull.fileio import parse_instance, run_check, run_verify
 
 from conftest import (
     make_instance,
@@ -90,17 +93,63 @@ class TestSingletonTypeSet:
         assert isinstance(result, MixingDistribution)
         assert result.weights[0][1] == 1
 
-    def test_mismatch_gives_lowest_coordinate_separator(self):
+    def test_mismatch_gives_the_lp_separator(self):
         _, _, layout = make_instance("ab", [("a", "b")])
         ts = types_from_explicit([[1, 0]], layout)
         pi = validate_pi([Fraction(1, 4), Fraction(3, 4)], layout)
         result = membership.test_membership(pi, ts)
         assert isinstance(result, SeparatingVector)
-        # First differing coordinate is 0 where pi is below the type: -1
-        # there, shifted so the block's minimum is 0.
+        # The data is below the type on coordinate 0: the Farkas vector,
+        # shifted so the block's minimum is 0, values coordinate 1 only.
         assert result.direction == (0, 1)
         assert result.gap == Fraction(3, 4)
         assert_valid_outcome(pi, ts, result)
+
+
+ONE_EXPLICIT_TYPE = json.loads(
+    (pathlib.Path(__file__).resolve().parent / "fixtures" / "one_explicit_type.json").read_text()
+)
+
+# (instance tree, the one type's own data, other data)
+ONE_TYPE_INSTANCES = {
+    "explicit-single-row": (
+        ONE_EXPLICIT_TYPE,
+        [["1", "0"], ["1", "0"], ["0", "1"]],
+        ONE_EXPLICIT_TYPE["probabilities"],
+    ),
+    "lifted-size-1-linear-orders": (
+        {"universe": ["a", "b"], "problems": [["a"]], "types": "linear-orders", "set_valued": True},
+        [{"a": "1"}],
+        [{"": "1/3", "a": "2/3"}],
+    ),
+}
+
+
+@pytest.mark.parametrize("own_data", [True, False], ids=["own-data", "other-data"])
+@pytest.mark.parametrize("name", sorted(ONE_TYPE_INSTANCES))
+def test_one_type_families_take_the_lp(name, own_data, monkeypatch):
+    tree, own, other = ONE_TYPE_INSTANCES[name]
+    instance = parse_instance(json.dumps({**tree, "probabilities": own if own_data else other}))
+    (only,) = instance.type_set.types
+    solve, calls = membership.solve_equality_feasibility, []
+    monkeypatch.setattr(
+        membership, "solve_equality_feasibility", lambda *args: calls.append(args) or solve(*args)
+    )
+    report = run_check(instance)
+    assert len(calls) == 1
+    pi = instance.pi
+    layout = pi.layout
+    if own_data:
+        assert report.outcome.mixture.weights == ((only, 1),)
+        assert report.outcome.mixture.mixture == pi.values
+    else:
+        direction = report.outcome.certificate.separating.direction
+        for j in range(layout.problem_count):
+            assert min(direction[i] for i in layout.block_range(j)) == 0
+    for restricted in (False, True):
+        structured = run_check(instance, restricted=restricted).to_structured()
+        assert structured["verdict"] == ("rationalizable" if own_data else "not-rationalizable")
+        assert run_verify(instance, structured) == (True, [])
 
 
 def test_layout_mismatch(pairwise3):

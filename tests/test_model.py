@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruhull import (
+    ChoiceProblem,
+    ChoiceTypeVector,
     ChoiceUniverse,
     LayoutMismatch,
+    Trial,
+    TrialSequence,
     ValidationError,
     arsp_check,
     build_layout,
@@ -78,7 +83,7 @@ class TestValidatePi:
     def test_valid_two_blocks(self):
         _, _, layout = make_instance("abc", [("a", "b"), ("a", "c")])
         pi = validate_pi([Fraction(1, 2), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)], layout)
-        assert pi.total == 2
+        assert sum(pi.values) == 2
 
     def test_block_sum_error_names_problem(self):
         _, _, layout = make_instance("abc", [("a", "b"), ("a", "c")])
@@ -103,7 +108,7 @@ class TestValidatePi:
     def test_singleton_forced(self):
         _, _, layout = make_instance("a", [("a",)])
         pi = validate_pi([1], layout)
-        assert pi.total == 1
+        assert sum(pi.values) == 1
 
     def test_entries_preserved_exactly(self):
         _, _, layout = make_instance("ab", [("a", "b")])
@@ -281,3 +286,61 @@ def test_block_sum_identity_property(data):
     assert inner(ones, pi) == layout.problem_count
     for t in type_set.types:
         assert inner(ones, t) == layout.problem_count
+
+
+def _pairwise_three():
+    """The layout over {a,b,c} with the three pairs, its order types and the uniform data."""
+    _, _, layout = make_instance("abc", [("a", "b"), ("a", "c"), ("b", "c")])
+    pi = validate_pi([Fraction(1, 2)] * 6, layout)
+    types = make_type_set(map(ChoiceTypeVector, brute_force_order_patterns(layout)), layout)
+    return layout, types, pi
+
+
+# (id, call on _pairwise_three's layout, types and data, error, message
+# fragment): the model's input checks that the tests above leave out.
+MODEL_INPUT_ERRORS = [
+    ("empty-universe", lambda layout, ts, pi: ChoiceUniverse(()),
+     ValidationError, "at least one alternative"),
+    ("empty-label", lambda layout, ts, pi: ChoiceUniverse(("a", "")),
+     ValidationError, "position 1 must be a nonempty string"),
+    ("label-not-a-string", lambda layout, ts, pi: ChoiceUniverse(("a", 1)),
+     ValidationError, "position 1 must be a nonempty string"),
+    ("empty-problem", lambda layout, ts, pi: ChoiceProblem(()),
+     ValidationError, "must be nonempty"),
+    ("negative-member", lambda layout, ts, pi: ChoiceProblem((-1, 0)),
+     ValidationError, "negative universe index -1"),
+    ("repeated-member", lambda layout, ts, pi: ChoiceProblem((0, 0)),
+     ValidationError, "duplicate member index 0"),
+    ("members-out-of-order", lambda layout, ts, pi: ChoiceProblem((1, 0)),
+     ValidationError, "in universe order"),
+    ("member-outside-universe",
+     lambda layout, ts, pi: build_layout(layout.universe, [ChoiceProblem((0, 3))]),
+     ValidationError, "universe index 3 but the universe has only 3"),
+    ("coordinate-out-of-range", lambda layout, ts, pi: layout.block_of(6),
+     ValidationError, "coordinate 6 out of range"),
+    ("alternative-not-in-problem", lambda layout, ts, pi: layout.coordinate(0, 2),
+     ValidationError, "universe index 2 not in problem 0"),
+    ("type-entry-not-0/1", lambda layout, ts, pi: make_type_vector([2, 0, 1, 0, 1, 0], layout),
+     ValidationError, "coordinate 0 is not 0/1"),
+    ("trial-repeats-a-coordinate", lambda layout, ts, pi: make_trial([1, 1], layout),
+     ValidationError, "queries a coordinate twice"),
+    ("trial-outside-layout", lambda layout, ts, pi: make_trial_sequence([Trial(3, (6,))], layout),
+     LayoutMismatch, "outside the layout"),
+    ("functional-length", lambda layout, ts, pi: max_over_types([1, 0, 1], ts),
+     LayoutMismatch, "vector length 3 does not match layout (6 coordinates)"),
+    ("aggregate-length",
+     lambda layout, ts, pi: arsp_check(TrialSequence((), (0, 0, 0)), pi, ts),
+     LayoutMismatch, "trial sequence does not match layout"),
+    ("aggregate-coordinate", lambda layout, ts, pi: arsp_check({6: 1}, pi, ts),
+     LayoutMismatch, "coordinate 6 lies outside the layout"),
+]
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [case[1:] for case in MODEL_INPUT_ERRORS],
+    ids=[case[0] for case in MODEL_INPUT_ERRORS],
+)
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=re.escape(match)):
+        call(*_pairwise_three())

@@ -225,12 +225,6 @@ def test_best_is_the_scan_s_first_maximizer(name, ties):
         assert engine.best(y) == max_over_types(y, expected), y
 
 
-@pytest.mark.parametrize("name,ties", FAMILIES)
-def test_single_type_is_the_only_type(name, ties):
-    engine, _, expected = _brute_force(name, ties)
-    assert engine.single_type() == (expected.types[0] if len(expected) == 1 else None)
-
-
 @pytest.mark.parametrize("n", range(6))
 def test_rank_assignments_give_every_weak_order_once(n):
     # The brute force's reference: distinct rank patterns are the weak orders.
