@@ -21,21 +21,31 @@ import ruhull.fileio
 from ruhull import (
     ChoiceTypeVector,
     LayoutMismatch,
+    MixingDistribution,
     OrderTypes,
     ValidationError,
+    inner,
     lift_layout,
     make_type_set,
     max_over_types,
+    membership,
     ordered_bell,
     parse_instance,
     run_check,
     run_verify,
     singleton_types,
+    validate_pi,
 )
 from ruhull.cli import main
 from ruhull.fileio import lifted_instance_tree
 
-from conftest import LABELS, brute_force_order_patterns, make_instance, seeded
+from conftest import (
+    LABELS,
+    brute_force_order_patterns,
+    make_instance,
+    random_rational_pi,
+    seeded,
+)
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
@@ -223,6 +233,29 @@ def test_best_is_the_scan_s_first_maximizer(name, ties):
     functionals += [_random_functional(rng, n, fractions) for fractions in (False, True) * 6]
     for y in functionals:
         assert engine.best(y) == max_over_types(y, expected), y
+
+
+@pytest.mark.parametrize("name,ties", FAMILIES)
+def test_membership_through_the_engine_matches_the_type_set(name, ties):
+    # One LP path for every family, one-type ones included: the engine and
+    # the brute-force type set give the same verdict, and each witness is
+    # checked against the brute-force types.
+    engine, layout, expected = _brute_force(name, ties)
+    known = set(expected.types)
+    rng = seeded(f"membership:{name}:{ties}")
+    own = rng.choice(expected.types)
+    own_pi = validate_pi([int(i in own.chosen) for i in range(layout.coordinate_count)], layout)
+    for pi in (own_pi, random_rational_pi(layout, rng), random_rational_pi(layout, rng)):
+        result = membership.test_membership(pi, engine)
+        reference = membership.test_membership(pi, expected)
+        assert type(result) is type(reference), pi.values
+        assert pi is not own_pi or isinstance(result, MixingDistribution)
+        if isinstance(result, MixingDistribution):
+            assert result.mixture == pi.values
+            assert all(t in known and w > 0 for t, w in result.weights)
+        else:
+            best = max_over_types(result.direction, expected)[0]
+            assert result.gap == inner(result.direction, pi.values) - best > 0
 
 
 @pytest.mark.parametrize("n", range(6))
