@@ -18,9 +18,9 @@ Each iteration asks the oracle for the best structural column against the
 duals w: the objective entry of artificial i is its reduced cost 1 - w_i,
 so the reduced cost of column j is -w . a_j and the column with the largest
 w . a_j > 0 enters (ties to the first in the oracle's column order). The
-membership LP asks its type family for the best type, and the restricted
-LP sums the prices of its type rows per trial, so neither lists its
-columns. The leaving row is chosen by the lexicographic ratio test
+membership LP and the restricted LP both ask their type family for the
+best type (``membership.TypeColumns``), so neither lists its columns. The
+leaving row is chosen by the lexicographic ratio test
 on the rows of [beta | B^-1] divided by the entering column (Dantzig, Orden
 & Wolfe, 1955). Those rows start lexicographically positive (beta >= 0,
 B^-1 = I), stay so, and are pairwise distinct because B^-1 is nonsingular,

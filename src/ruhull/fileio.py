@@ -554,7 +554,7 @@ def run_check(
             )
         elif axiom is None:
             axiom = empty_set_trial(pi, family, lifted) or check_restricted_arsp(
-                pi, instance.type_set, lifted
+                pi, family, lifted
             )
     return ResultReport(
         instance=instance,

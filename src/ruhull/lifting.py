@@ -13,9 +13,11 @@ types onto the lifted layout.
 Also provided is the weaker, historically used trial family that may only
 query "a set together with all its subsets" inside one problem, and an exact
 decision procedure for the axiom restricted to that family, with a witness
-either way. The restricted axiom is implied by full rationalizability but
-does not imply it; see the tests for a two-alternative instance witnessing
-the gap. Two cases need no restricted LP: mass on the empty set that no
+either way: the LP for a mixture of types that dominates the data on every
+restricted query, whose type columns are priced like the membership LP's,
+so it takes any type family and lists none. The restricted axiom is implied
+by full rationalizability but does not imply it; see the tests for a
+two-alternative instance witnessing the gap. Two cases need no restricted LP: mass on the empty set that no
 type picks (``empty_set_trial``), and singleton data, decided on the base
 layout and carried across (``singleton_outcome``: a mixture's types map to
 their singletons, and a certificate is rebuilt by ``make_certificate`` from
@@ -24,7 +26,6 @@ the mapped separator).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 from .certificate import CheckOutcome, make_certificate
 from .errors import CapExceeded, LayoutMismatch, ValidationError
 from .exactlp import FeasiblePoint, solve_equality_feasibility
-from .membership import MixingDistribution, SeparatingVector
+from .membership import MixingDistribution, SeparatingVector, TypeColumns, type_weights
 from .model import (
     ChoiceProblem,
     ChoiceTypeVector,
@@ -257,11 +258,11 @@ def restricted_trials(lifted: LiftedLayout) -> tuple[Trial, ...]:
 class RestrictedArsp:
     """The restricted axiom's verdict and its witness.
 
-    When the axiom holds, ``mixture`` lists (type, weight) pairs, weights
-    positive and summing to 1, whose total on every restricted trial is at
-    least the data's: then every multiset of restricted trials collects under
-    the data at most what the mixture collects, so at most what its best type
-    does (Ville's theorem). When it fails, ``trials`` lists (trial, count)
+    When the axiom holds, ``mixture`` lists (type, weight) pairs in the
+    types' canonical order, weights positive and summing to 1, whose total
+    on every restricted trial is at least the data's: then every multiset of
+    restricted trials collects under the data at most what the mixture
+    collects, so at most what its best type does (Ville's theorem). When it fails, ``trials`` lists (trial, count)
     pairs, a multiset of restricted trials that collects strictly more under
     the data than any type: the single query "a subset of the empty set"
     from ``empty_set_trial``, or the restricted LP's multiset. Both are empty
@@ -300,91 +301,48 @@ def empty_set_trial(
 
 def check_restricted_arsp(
     pi: StochasticChoiceVector,
-    type_set: RationalTypeSet,
+    types: TypeFamily,
     lifted: LiftedLayout,
 ) -> RestrictedArsp:
     """Decide the axiom quantified over the restricted trial family only.
 
-    It fails iff some finite multiset of restricted trials violates the
-    inequality. Scaling reduces integer multiplicities to nonnegative
-    rational weights y, so it fails iff there are y >= 0 and a value v with
+    By Ville's theorem it holds iff some mixture mu of the types dominates
+    the data on every restricted query T_s: mu(T_s) >= pi(T_s). That is the
+    LP with one row per binding query (``_binds``) and a convexity row,
 
-        v - sum of y_s over the trials s holding R's pick >= 1  for every type R,
-        v = sum_s y_s * (T_s . pi),
+        sum_R lambda_R (T_s . R) - surplus_s = T_s . pi,   sum_R lambda_R = 1,
 
-    solved exactly as equalities with a surplus column per type. The columns
-    are priced, not listed (``_RestrictedColumns``). A feasible point's y,
-    scaled to integers, is the violating multiset. Otherwise the Farkas
-    multipliers u_R of the type rows are >= 0 (surplus columns) with
-    positive sum, and the v column bounds the value row's multiplier, so
-    u / sum(u) is a mixture dominating the data on every restricted trial.
+    whose type columns are priced by the membership LP's oracle
+    (``membership.TypeColumns``), so no type is listed. A feasible point's
+    types are the dominating mixture. Otherwise the Farkas multipliers y_s
+    of the query rows are >= 0 (surplus columns), and the type columns give
+    sum_s y_s (T_s . pi) > max over R of sum_s y_s (T_s . R): y, scaled to
+    integers, is a violating multiset of restricted trials.
     """
-    if pi.layout != lifted.layout or type_set.layout != lifted.layout:
+    if pi.layout != lifted.layout or types.layout != lifted.layout:
         raise LayoutMismatch("data, types and lifted layout must agree")
-    trials = restricted_trials(lifted)
-    types = type_set.types
-    result = solve_equality_feasibility(
-        _RestrictedColumns(pi, types, trials), [1] * len(types) + [0]
-    )
+    queries = [t for t in restricted_trials(lifted) if _binds(t, pi, lifted)]
+    rhs = [inner(t, pi) for t in queries] + [1]
+    oracle = TypeColumns(types, [t.coordinates for t in queries], surplus=True)
+    result = solve_equality_feasibility(oracle, rhs)
     if isinstance(result, FeasiblePoint):
-        counts = primitive_integers([result.x.get(s, 0) for s in range(1, len(trials) + 1)])
-        return RestrictedArsp(False, trials=tuple((t, k) for t, k in zip(trials, counts) if k))
-    total = sum(result.y[: len(types)])
-    return RestrictedArsp(
-        True, mixture=tuple((t, u / total) for t, u in zip(types, result.y) if u)
-    )
+        return RestrictedArsp(True, mixture=type_weights(result.x))
+    counts = primitive_integers(result.y[:-1])
+    return RestrictedArsp(False, trials=tuple((t, k) for t, k in zip(queries, counts) if k))
 
 
-class _RestrictedColumns:
-    """The restricted LP's matrix as a column oracle over its three kinds of column.
+def _binds(query: Trial, pi: StochasticChoiceVector, lifted: LiftedLayout) -> bool:
+    """Whether the query "the choice from B is a subset of S" needs a row.
 
-    Rows: one per type R, then the value row, scaled by L, the lcm of the
-    denominators of the nonzero T_s . pi, so every entry is an integer.
-    Keys, in column order: 0 is v (1 in every type row, L in the value
-    row); s + 1 is y_s (-1 in the row of each type whose pick T_s holds,
-    -L (T_s . pi) in the value row); k + 1 + r is the surplus of type r
-    (-1 in its row), for k trials. Pricing sums the type rows' prices once
-    per coordinate, W[c] over the types picking c, so y_s is priced as
-    -sum of W over T_s and no column is listed.
+    It does iff S is not B, the data gives the query mass, and every member
+    of S lies in some A within S with pi(B, A) > 0. Any mixture mu meets the
+    query S = B with equality, and one without mass trivially. If some x in
+    S lies in no such A, pi(within S) = pi(within S - x) <= mu(within S - x)
+    <= mu(within S), so the smaller query's row implies this one.
     """
-
-    def __init__(
-        self,
-        pi: StochasticChoiceVector,
-        types: Sequence[ChoiceTypeVector],
-        trials: Sequence[Trial],
-    ):
-        self.n_types = len(types)
-        self.trials = trials
-        value = [inner(t, pi) for t in trials]
-        self.scale = math.lcm(*(v.denominator for v in value if v))
-        self.value = [int(v * self.scale) for v in value]
-        self.picked_by = [[] for _ in pi.values]  # coordinate -> rows of the types picking it
-        for r, t in enumerate(types):
-            for c in t.chosen:
-                self.picked_by[c].append(r)
-
-    def __len__(self) -> int:
-        return self.n_types + 1
-
-    def best(self, u: Sequence[int]) -> tuple[int, int]:
-        n, u_value = self.n_types, u[-1]
-        w = [sum(map(u.__getitem__, rows)) for rows in self.picked_by]
-        values = [sum(u[:n]) + self.scale * u_value]
-        values += (
-            -sum(map(w.__getitem__, t.coordinates)) - u_value * v
-            for t, v in zip(self.trials, self.value)
-        )
-        values += (-ur for ur in u[:n])
-        top = max(values)
-        return top, values.index(top)
-
-    def column(self, key: int) -> list[tuple[int, int]]:
-        n, k = self.n_types, len(self.trials)
-        if key == 0:
-            return [(r, 1) for r in range(n)] + [(n, self.scale)]
-        if key <= k:
-            s = key - 1
-            out = [(r, -1) for c in self.trials[s].coordinates for r in self.picked_by[c]]
-            return (out + [(n, -self.value[s])]) if self.value[s] else out
-        return [(key - k - 1, -1)]
+    coords = query.coordinates
+    if len(coords) == len(lifted.layout.block_range(query.block)):
+        return False
+    supported = [lifted.coordinate_subsets[c] for c in coords if pi.values[c]]
+    whole = lifted.coordinate_subsets[coords[-1]]
+    return bool(supported) and len(set().union(*supported)) == len(whole)

@@ -21,8 +21,9 @@ LP: a single column decides it, and its Farkas vector is shifted the same
 way.
 
 The LP lists no columns. Each simplex iteration asks the type family for
-its best type under the current row prices (``enumeration.OrderTypes`` by
-its dynamic program, so no stage lists the n! orders), and the family's
+its best type under the current row prices (``TypeColumns``, which prices
+the restricted LP's types too; ``enumeration.OrderTypes`` answers by its
+dynamic program, so no stage lists the n! orders), and the family's
 canonical tie-break makes that the column a scan of the listed types would
 enter: the pivots, mixtures and separators are the same either way.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .errors import LayoutMismatch
 from .exactlp import FeasiblePoint, solve_equality_feasibility
@@ -104,10 +105,9 @@ def test_membership(
     # row.
     kept = [i for block in blocks for i in block[:-1]]
     rhs = [pi.values[i] for i in kept] + [Fraction(1)]
-    result = solve_equality_feasibility(_TypeColumns(types, kept, n_coords), rhs)
+    result = solve_equality_feasibility(TypeColumns(types, [(i,) for i in kept]), rhs)
     if isinstance(result, FeasiblePoint):
-        used = sorted(result.x.items(), key=lambda tw: tw[0].chosen, reverse=True)
-        return MixingDistribution(layout, tuple((t, w) for t, w in used if w != 0))
+        return MixingDistribution(layout, type_weights(result.x))
     y = [Fraction(0)] * n_coords
     for i, v in zip(kept, result.y):
         y[i] = v
@@ -122,33 +122,53 @@ def test_membership(
     return SeparatingVector(direction, gap)
 
 
-class _TypeColumns:
-    """The membership LP's matrix as a column oracle over the type family.
+class TypeColumns:
+    """An LP's matrix as a column oracle over a type family.
 
-    The column of type R has a 1 in the row of each kept coordinate R picks
-    and in the convexity row; the family's best type for the row prices,
-    placed on their coordinates, is the best column, and the family's
-    canonical order is the column order.
+    Row r of the first ``len(rows)`` counts a type's picks among the
+    coordinates ``rows[r]``; the last row is the convexity row, 1 for every
+    type. The family's best type for the row prices, summed onto their
+    coordinates, is the best type column, and the family's canonical order
+    is the column order. With ``surplus``, the integer key r is a column
+    with -1 in row r alone, for each row but the last; these come first in
+    the column order, so they win ties with the types. The membership LP
+    keeps one coordinate per row; the restricted LP keeps one restricted
+    query per row, with surplus columns.
     """
 
-    def __init__(self, types: TypeFamily, kept: list[int], n_coords: int):
+    def __init__(self, types: TypeFamily, rows: Sequence[Sequence[int]], surplus: bool = False):
         self.types = types
-        self.kept = kept
-        self.n_coords = n_coords
-        self.row_of = [-1] * n_coords
-        for r, i in enumerate(kept):
-            self.row_of[i] = r
+        self.rows = rows
+        self.surplus = surplus
+        self.rows_of: list[list[int]] = [[] for _ in range(types.layout.coordinate_count)]
+        for r, coords in enumerate(rows):
+            for c in coords:
+                self.rows_of[c].append(r)
 
     def __len__(self) -> int:
-        return len(self.kept) + 1
+        return len(self.rows) + 1
 
-    def best(self, u: Sequence[int]) -> tuple[int, ChoiceTypeVector]:
-        y = [0] * self.n_coords
-        for i, v in zip(self.kept, u):
-            y[i] = v
+    def best(self, u: Sequence[int]) -> tuple[int, ChoiceTypeVector | int]:
+        y = [0] * len(self.rows_of)
+        for coords, v in zip(self.rows, u):
+            if v:
+                for c in coords:
+                    y[c] += v
         value, t = self.types.best(y)
-        return value + u[-1], t
+        value += u[-1]
+        if self.surplus and self.rows:
+            r = min(range(len(self.rows)), key=u.__getitem__)
+            if -u[r] >= value:
+                return -u[r], r
+        return value, t
 
-    def column(self, t: ChoiceTypeVector) -> list[tuple[int, int]]:
-        rows = [self.row_of[i] for i in t.chosen]
-        return [(r, 1) for r in rows if r >= 0] + [(len(self.kept), 1)]
+    def column(self, key: ChoiceTypeVector | int) -> list[tuple[int, int]]:
+        if isinstance(key, int):
+            return [(key, -1)]
+        return [(r, 1) for c in key.chosen for r in self.rows_of[c]] + [(len(self.rows), 1)]
+
+
+def type_weights(x: Mapping[Hashable, Fraction]) -> tuple[tuple[ChoiceTypeVector, Fraction], ...]:
+    """The nonzero type columns of a ``TypeColumns`` point, in the types' canonical order."""
+    used = (tw for tw in x.items() if isinstance(tw[0], ChoiceTypeVector) and tw[1])
+    return tuple(sorted(used, key=lambda tw: tw[0].chosen, reverse=True))

@@ -270,6 +270,7 @@ UNNORMALIZED = pathlib.Path(__file__).resolve().parent / "fixtures" / "unnormali
 BARE_CLAIMS = pathlib.Path(__file__).resolve().parent / "fixtures" / "bare_restricted_claims"
 CANONICAL = pathlib.Path(__file__).resolve().parent / "fixtures" / "canonical_reports"
 LIFTED_LAYOUT = pathlib.Path(__file__).resolve().parent / "fixtures" / "lifted_layout_reports"
+LISTED_RESTRICTED = pathlib.Path(__file__).resolve().parent / "fixtures" / "listed_restricted_reports"
 # A restricted-axiom claim on set-valued data that fails the full axiom must
 # carry its witness: a bare {"holds": true} could only be checked by solving
 # the restricted LP, which verify does not do.
@@ -347,10 +348,30 @@ def test_lifted_layout_reports_still_verify(report_path, capsys):
     # base layout and maps the outcome across, so its reports differ.
     report = json.loads(report_path.read_text())
     assert report["lifted"] and report["flags"]["restricted_arsp"]
-    name = f"{report_path.name.split('.')[0]}.json"
-    instance_path = next(
-        path for path in (SAMPLES / name, report_path.parent.parent / name) if path.exists()
-    )
+    instance_path = _report_instance(report_path)
     assert not load_instance(str(instance_path)).set_valued
     assert main(["verify", str(instance_path), str(report_path)]) == 0
     assert capsys.readouterr().out == "verified: true\n"
+
+
+@pytest.mark.parametrize(
+    "report_path", sorted(LISTED_RESTRICTED.glob("*.out")), ids=lambda p: p.stem
+)
+def test_listed_restricted_reports_still_verify(report_path, capsys):
+    # --restricted-arsp reports on set-valued data written when the
+    # restricted LP kept a row per listed type; its mixtures now come from
+    # the dominating-mixture LP, so these reports differ from the goldens.
+    report = json.loads(report_path.read_text())
+    assert report["lifted"] and report["restricted_arsp"]["mixture"]["weights"]
+    instance_path = _report_instance(report_path)
+    assert load_instance(str(instance_path)).set_valued
+    assert main(["verify", str(instance_path), str(report_path)]) == 0
+    assert capsys.readouterr().out == "verified: true\n"
+
+
+def _report_instance(report_path):
+    """The instance a kept report was written for: a sample or a test fixture."""
+    name = f"{report_path.name.split('.')[0]}.json"
+    return next(
+        path for path in (SAMPLES / name, report_path.parent.parent / name) if path.exists()
+    )

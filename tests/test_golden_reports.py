@@ -8,7 +8,7 @@ larger fixtures, all subsets of size >= 2 over six alternatives (planted and
 random data), pin structured ``check`` reports, plain and restricted, where
 the LP has hundreds of rows. A third, planted set-valued data over five
 alternatives, pins the one shipped restricted report whose mixture the
-restricted LP finds at scale (16 types). After a deliberate change to an
+restricted LP finds at scale (4 types). After a deliberate change to an
 output format, regenerate them with
 ``PYTHONPATH=src python tests/test_golden_reports.py`` and review the diff.
 """

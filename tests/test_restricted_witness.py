@@ -1,16 +1,18 @@
 """The restricted-axiom LP and the witnesses ``verify`` checks in its place.
 
-``lifting.check_restricted_arsp`` solves the restricted LP in value-column
-form and returns a witness: a mixture of types dominating the data on every
-restricted trial when the axiom holds, a violating multiset of restricted
-trials when it fails. ``check`` first tries the one-trial witness "the choice
-is a subset of the empty set" (``lifting.empty_set_trial``), which needs
-neither the listed types nor the LP. Both verdicts are compared here with the
-dense-margin LP the restricted LP replaced, every witness ``check`` writes
-must pass ``run_verify``, and ``run_verify`` must accept them without
-solving any LP.
+``lifting.check_restricted_arsp`` looks for a mixture of types dominating
+the data on every binding restricted query, with the types priced by the
+membership LP's oracle (``membership.TypeColumns``), and returns a witness:
+that mixture when the axiom holds, a violating multiset of restricted trials
+from the Farkas multipliers when it fails. ``check`` first tries the
+one-trial witness "the choice is a subset of the empty set"
+(``lifting.empty_set_trial``), which needs neither the listed types nor the
+LP. Both verdicts are compared here with the dense-margin LP over the listed
+types, every witness ``check`` writes must pass ``run_verify``, and
+``run_verify`` must accept them without solving any LP.
 """
 
+import dataclasses
 import importlib.util
 import json
 import pathlib
@@ -24,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruhull import (
+    OrderTypes,
     Trial,
     check_restricted_arsp,
     exactlp,
@@ -92,31 +95,79 @@ def set_valued_texts(draw):
     })
 
 
+@st.composite
+def explicit_type_texts(draw):
+    """``set_valued_texts`` with one to four explicit types over the lifted
+    layout, each picking any subset of each problem, the empty set included."""
+    tree = json.loads(draw(set_valued_texts()))
+    types = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = []
+        for problem in tree["problems"]:
+            size = 1 << len(problem)
+            pick = draw(st.integers(0, size - 1))
+            row += [int(k == pick) for k in range(size)]
+        types.append(row)
+    tree["types"] = types
+    return json.dumps(tree)
+
+
+def _family(instance, family):
+    """The instance's keyword types as the order engine or as the listed set."""
+    if family == "listed":
+        return instance.type_set
+    return OrderTypes(instance.lifted, ties=instance.types == "weak-orders")
+
+
+@pytest.mark.parametrize("family", ["orders", "listed"])
 @settings(max_examples=80, deadline=None)
 @given(set_valued_texts())
-def test_value_column_lp_agrees_with_dense_margins(text):
+def test_restricted_lp_agrees_with_dense_margins(family, text):
+    instance = parse_instance(text)
+    pi, lifted = instance.pi, instance.lifted
+    result = check_restricted_arsp(pi, _family(instance, family), lifted)
+    assert result.holds == dense_margin_holds(pi, instance.type_set, lifted)
+    assert bool(result.mixture) == result.holds != bool(result.trials)
+
+
+@pytest.mark.parametrize("family", ["orders", "listed"])
+@settings(max_examples=80, deadline=None)
+@given(set_valued_texts(), st.data())
+def test_restricted_oracle_prices_its_own_columns(family, text, data):
+    # best(u) is the largest u . column(key) over every surplus column and
+    # every type column of the listed set, and the first key in column order
+    # (surplus columns, then the types) attaining it; every entry is an
+    # integer.
+    instance = parse_instance(text)
+    queries = restricted_trials(instance.lifted)
+    oracle = membership.TypeColumns(
+        _family(instance, family), [t.coordinates for t in queries], surplus=True
+    )
+    u = data.draw(st.lists(st.integers(-4, 4), min_size=len(oracle), max_size=len(oracle)))
+    keys = list(range(len(queries))) + list(instance.type_set.types)
+    columns = [oracle.column(key) for key in keys]
+    assert all(type(v) is int for column in columns for _, v in column)
+    priced = [sum(u[i] * v for i, v in column) for column in columns]
+    top = max(priced)
+    assert oracle.best(u) == (top, keys[priced.index(top)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(explicit_type_texts())
+def test_explicit_types_agree_with_dense_margins(text):
+    # Explicit types may pick the empty set, so data with mass on it can
+    # reach the restricted LP. The LP's own witness must verify even where
+    # check reports another one.
     instance = parse_instance(text)
     pi, type_set, lifted = instance.pi, instance.type_set, instance.lifted
     result = check_restricted_arsp(pi, type_set, lifted)
     assert result.holds == dense_margin_holds(pi, type_set, lifted)
-    assert bool(result.mixture) == result.holds != bool(result.trials)
-
-
-@settings(max_examples=80, deadline=None)
-@given(set_valued_texts(), st.data())
-def test_restricted_oracle_prices_its_own_columns(text, data):
-    # best(u) is the largest u . column(key) over every key, and the first
-    # key in key order attaining it; every entry is an integer.
-    instance = parse_instance(text)
-    trials = restricted_trials(instance.lifted)
-    types = instance.type_set.types
-    oracle = lifting._RestrictedColumns(instance.pi, types, trials)
-    u = data.draw(st.lists(st.integers(-4, 4), min_size=len(oracle), max_size=len(oracle)))
-    columns = [oracle.column(key) for key in range(1 + len(trials) + len(types))]
-    assert all(type(v) is int for column in columns for _, v in column)
-    priced = [sum(u[i] * v for i, v in column) for column in columns]
-    top = max(priced)
-    assert oracle.best(u) == (top, priced.index(top))
+    report = run_check(instance, restricted=True)
+    assert report.restricted_holds == result.holds
+    assert run_verify(instance, report.to_structured()) == (True, [])
+    if not report.outcome.rationalizable:
+        lp_report = dataclasses.replace(report, restricted=result)
+        assert run_verify(instance, lp_report.to_structured()) == (True, [])
 
 
 def _empty_set_trials(instance):
@@ -176,6 +227,27 @@ def _count_restricted_lp(monkeypatch):
     return calls
 
 
+def _refuse_listed_types(monkeypatch):
+    def refuse(instance):
+        raise AssertionError("check listed the types")
+
+    monkeypatch.setattr(fileio.Instance, "type_set", property(refuse))
+
+
+@pytest.mark.parametrize("types", ["linear-orders", "weak-orders"])
+def test_restricted_lp_lists_no_types(types, monkeypatch):
+    # The 3-cycle has no mass on the empty set, so the restricted LP decides
+    # it, pricing the order engine's types; neither check nor verify lists
+    # them.
+    instance = parse_instance(CYCLE_AS_SETS.replace('"linear-orders"', f'"{types}"'))
+    _refuse_listed_types(monkeypatch)
+    calls = _count_restricted_lp(monkeypatch)
+    report = run_check(instance, restricted=True)
+    assert len(calls) == 1
+    assert not report.restricted_holds
+    assert run_verify(instance, report.to_structured()) == (True, [])
+
+
 def test_types_picking_the_empty_set_reach_the_restricted_lp(monkeypatch):
     instance = parse_instance(EMPTY_PICKING_TYPES)
     calls = _count_restricted_lp(monkeypatch)
@@ -210,9 +282,9 @@ def test_empty_set_mass_lists_no_types_and_solves_no_restricted_lp(monkeypatch):
     instances = [load_instance(str(FIVE_ALTERNATIVES)), weak_random]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("check listed the types or solved the restricted LP")
+        raise AssertionError("check solved the restricted LP")
 
-    monkeypatch.setattr(fileio.Instance, "type_set", property(refuse))
+    _refuse_listed_types(monkeypatch)
     monkeypatch.setattr(lifting, "solve_equality_feasibility", refuse)
     for instance in instances:
         assert instance.types in ("linear-orders", "weak-orders")
@@ -241,11 +313,13 @@ def _lifted_restricted_cases(count):
 # Set-valued fixtures over all problems of size >= 2, linear-order types:
 # name -> (alternatives, planted weak orders or None for random data, seed)
 # of ``_set_valued_case``. Random data has mass on the empty set, so check
-# needs no restricted LP; planted data has none, so the LP runs.
+# needs no restricted LP; planted data has none, so the LP runs. Neither
+# lists the types.
 SET_VALUED_FIXTURES = {
     "five_alternatives_set_valued.json": (5, None, 5),
     "five_alternatives_set_valued_planted.json": (5, 3, 5),
     "six_alternatives_set_valued.json": (6, None, 6),
+    "six_alternatives_set_valued_planted.json": (6, 3, 6),
 }
 
 
@@ -258,6 +332,7 @@ def test_set_valued_fixtures(name, monkeypatch):
     path = ROOT / "tests" / "fixtures" / name
     assert json.loads(path.read_text()) == json.loads(text)
     instance = load_instance(str(path))
+    _refuse_listed_types(monkeypatch)
     calls = _count_restricted_lp(monkeypatch)
     report = run_check(instance, restricted=True)
     assert not report.outcome.rationalizable
