@@ -15,7 +15,12 @@ import sys
 import time
 
 from .errors import CapExceeded, RuhullError
-from .facets import MAX_FACET_COORDINATES, MAX_FACET_TYPES, enumerate_facets
+from .facets import (
+    MAX_FACET_COORDINATES,
+    MAX_FACET_TYPES,
+    check_facet_caps,
+    enumerate_facets,
+)
 from .fileio import (
     lifted_instance_tree,
     load_instance,
@@ -61,13 +66,17 @@ def _cmd_enumerate_types(args) -> int:
         sys.stdout.write(f"{len(type_set)} admissible type(s)\n")
         for t in type_set.types:
             bits = "".join(map(str, type_bits(t, layout)))
-            picks = " | ".join(layout.coordinate_info(c)[1] for c in t.chosen)
+            picks = " | ".join(layout.coordinate_labels[c] for c in t.chosen)
             sys.stdout.write(f"  {bits}  {picks}\n")
     return EXIT_OK
 
 
 def _cmd_facets(args) -> int:
     instance = load_instance(args.instance)
+    # The coordinates are known before the types are listed: refuse first.
+    check_facet_caps(
+        instance.layout.coordinate_count, None, args.max_coordinates, args.max_types
+    )
     hrep = enumerate_facets(
         instance.type_set,
         max_coordinates=args.max_coordinates,

@@ -28,9 +28,7 @@ from typing import Iterable, Sequence
 from .errors import CapExceeded, LayoutMismatch, ValidationError
 from .lifting import LiftedLayout
 from .model import (
-    ChoiceProblem,
     ChoiceTypeVector,
-    ChoiceUniverse,
     IndexLayout,
     Rational,
     RationalTypeSet,
@@ -270,35 +268,16 @@ def types_from_explicit(
     return make_type_set(bit_rows, layout)
 
 
-def correspondence_types_from_weak_orders(
-    universe: ChoiceUniverse,
-    problems: Sequence[ChoiceProblem],
-    lifted: LiftedLayout,
-) -> RationalTypeSet:
+def correspondence_types_from_weak_orders(lifted: LiftedLayout) -> RationalTypeSet:
     """Set-valued maximizer types on a lifted layout, one per weak order.
 
     In every lifted block the type selects the element equal to the set of
     maximizers of the base problem. Maximizer sets of nonempty problems are
     nonempty, so these types never select the empty-set element.
     """
-    _check_base(universe, problems, lifted)
     return OrderTypes(lifted, ties=True).types()
 
 
-def correspondence_types_from_linear_orders(
-    universe: ChoiceUniverse,
-    problems: Sequence[ChoiceProblem],
-    lifted: LiftedLayout,
-) -> RationalTypeSet:
+def correspondence_types_from_linear_orders(lifted: LiftedLayout) -> RationalTypeSet:
     """Singleton-forcing lifted types: linear orders have one maximizer per block."""
-    _check_base(universe, problems, lifted)
     return OrderTypes(lifted).types()
-
-
-def _check_base(
-    universe: ChoiceUniverse, problems: Sequence[ChoiceProblem], lifted: LiftedLayout
-) -> None:
-    if lifted.base_universe != universe or lifted.base_problems != tuple(problems):
-        raise ValidationError(
-            "lifted layout was not built from the given universe and problems"
-        )

@@ -208,6 +208,19 @@ def _double_description(points: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return rays
 
 
+def check_facet_caps(
+    coordinates: int, types: int | None, max_coordinates: int, max_types: int
+) -> None:
+    """Refuse a hull beyond the caps; ``types`` is None before the types are listed."""
+    if coordinates > max_coordinates or (types is not None and types > max_types):
+        vertices = "" if types is None else f"{types} vertices in "
+        raise CapExceeded(
+            f"vertex-to-halfspace conversion is computationally prohibitive in "
+            f"general; refusing {vertices}{coordinates} coordinates "
+            f"(caps: {max_types} vertices, {max_coordinates} coordinates)"
+        )
+
+
 def enumerate_facets(
     type_set: RationalTypeSet,
     max_coordinates: int = MAX_FACET_COORDINATES,
@@ -220,12 +233,7 @@ def enumerate_facets(
     """
     layout = type_set.layout
     n = layout.coordinate_count
-    if n > max_coordinates or len(type_set) > max_types:
-        raise CapExceeded(
-            f"vertex-to-halfspace conversion is computationally prohibitive in "
-            f"general; refusing {len(type_set)} vertices in {n} coordinates "
-            f"(caps: {max_types} vertices, {max_coordinates} coordinates)"
-        )
+    check_facet_caps(n, len(type_set), max_coordinates, max_types)
     vertices = [type_bits(t, layout) for t in type_set.types]
     base = vertices[0]
     basis, pivots, free = _affine_hull(vertices)

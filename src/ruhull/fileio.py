@@ -45,6 +45,8 @@ from .enumeration import (
     types_from_linear_orders,
 )
 from .errors import CapExceeded, InstanceParseError, ValidationError
+# lift_set_valued_data and max_over_types stay bound for perfbench/tracing.py,
+# which wraps them here.
 from .lifting import (
     LiftedLayout,
     RestrictedArsp,
@@ -57,7 +59,6 @@ from .lifting import (
     singleton_outcome,
     singleton_types,
 )
-# max_over_types stays bound for perfbench/tracing.py, which wraps it here.
 from .model import (
     ChoiceProblem,
     ChoiceUniverse,
@@ -142,7 +143,7 @@ class Instance:
             if self.types == "linear-orders"
             else correspondence_types_from_weak_orders
         )
-        return build(lifted.base_universe, lifted.base_problems, lifted)
+        return build(lifted)
 
     @property
     def set_valued(self) -> bool:
@@ -281,12 +282,12 @@ def _parse_singleton(
 def _parse_set_valued(
     raw_probs: Any, location: str, lifted: LiftedLayout
 ) -> tuple[StochasticChoiceVector, list[dict[str, str]]]:
-    universe, problems = lifted.base_universe, lifted.base_problems
-    if not isinstance(raw_probs, list) or len(raw_probs) != len(problems):
-        raise InstanceParseError(
-            f"expected one subset map per problem ({len(problems)})", location
-        )
-    observations = []
+    labels, subsets = lifted.base_universe.labels, lifted.coordinate_subsets
+    count = len(lifted.base_problems)
+    if not isinstance(raw_probs, list) or len(raw_probs) != count:
+        raise InstanceParseError(f"expected one subset map per problem ({count})", location)
+    values = [Fraction(0)] * lifted.layout.coordinate_count
+    given: set[int] = set()
     canon: list[dict[str, str]] = []
     for j, mapping in enumerate(raw_probs):
         loc = f"{location}[{j}]"
@@ -294,33 +295,23 @@ def _parse_set_valued(
             raise InstanceParseError(
                 "set-valued instances map subsets to probabilities", loc
             )
-        per_problem = {}
         canon_row = {}
         for key, raw_value in mapping.items():
             key_loc = f"{loc}[{key!r}]"
-            labels = tuple(key.split(",")) if key else ()
-            for lbl in labels:
-                if lbl not in universe.labels:
-                    raise InstanceParseError(f"unknown label {lbl!r}", key_loc)
+            try:
+                coord = lifted.coordinate_for_labels(j, key.split(",") if key else ())
+            except ValidationError as exc:
+                raise InstanceParseError(str(exc), key_loc)
             value = parse_rational(raw_value, key_loc)
-            subset = tuple(sorted(universe.index(lbl) for lbl in labels))
-            if len(set(subset)) != len(subset):
-                raise InstanceParseError("subset key repeats a label", key_loc)
-            member_set = set(problems[j].members)
-            if not set(subset) <= member_set:
-                raise InstanceParseError(
-                    f"{{{key}}} is not a subset of problem {j}", key_loc
-                )
-            canon_key = ",".join(universe.labels[i] for i in subset)
-            if canon_key in per_problem:
+            if coord in given:
                 raise InstanceParseError("duplicate subset key", key_loc)
-            per_problem[canon_key] = (labels, value)
+            given.add(coord)
+            values[coord] = value
             if value != 0:
-                canon_row[canon_key] = str(value)
-        observations.append({labels: v for labels, v in per_problem.values()})
+                canon_row[",".join(labels[i] for i in subsets[coord])] = str(value)
         canon.append(dict(sorted(canon_row.items())))
     try:
-        return lift_set_valued_data(observations, lifted), canon
+        return validate_pi(values, lifted.layout), canon
     except ValidationError as exc:
         raise InstanceParseError(str(exc), location)
 
@@ -499,7 +490,7 @@ def _mixture_tree(weights, layout: IndexLayout) -> dict:
 
 
 def _describe_type(t, layout: IndexLayout) -> str:
-    return " | ".join(layout.coordinate_info(c)[1] for c in t.chosen)
+    return " | ".join(layout.coordinate_labels[c] for c in t.chosen)
 
 
 def _trials_tree(trials: Sequence[Trial], layout: IndexLayout) -> list[dict]:
@@ -508,7 +499,7 @@ def _trials_tree(trials: Sequence[Trial], layout: IndexLayout) -> list[dict]:
         out.append(
             {
                 "problem": t.block + 1,
-                "members": [layout.coordinate_info(i)[1] for i in t.coordinates],
+                "members": [layout.coordinate_labels[i] for i in t.coordinates],
                 "coordinates": [i + 1 for i in t.coordinates],
             }
         )
@@ -518,7 +509,7 @@ def _trials_tree(trials: Sequence[Trial], layout: IndexLayout) -> list[dict]:
 def _describe_trials(trials: Sequence[Trial], layout: IndexLayout) -> list[str]:
     lines = []
     for t in trials:
-        labels = [layout.coordinate_info(i)[1] for i in t.coordinates]
+        labels = [layout.coordinate_labels[i] for i in t.coordinates]
         lines.append(f"problem {t.block + 1} query {{{','.join(labels)}}}")
     return lines
 

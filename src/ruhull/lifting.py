@@ -100,8 +100,22 @@ class LiftedLayout:
             return self._subset_coordinates[(problem_index, tuple(subset))]
         except KeyError:
             raise ValidationError(
-                f"{set(subset) or '{}'} is not a subset of problem {problem_index}"
+                f"{_subset_label(self.base_universe, subset)} is not a subset of "
+                f"problem {problem_index}"
             ) from None
+
+    def coordinate_for_labels(self, problem_index: int, labels: Iterable[str]) -> int:
+        """Coordinate of the subset with these base labels inside a lifted block.
+
+        Raises ``ValidationError`` for an unknown label, a repeated label, or
+        labels that are not a subset of the problem.
+        """
+        subset = tuple(sorted(map(self.base_universe.index, labels)))
+        if len(set(subset)) != len(subset):
+            raise ValidationError(
+                f"{_subset_label(self.base_universe, subset)} repeats a label"
+            )
+        return self.coordinate_for_subset(problem_index, subset)
 
     def block_subsets(self, problem_index: int) -> tuple[tuple[int, ...], ...]:
         """Subsets of one base problem, in block coordinate order."""
@@ -167,13 +181,7 @@ def lift_set_valued_data(
     values = [Fraction(0)] * lifted.layout.coordinate_count
     for j, obs in enumerate(observations):
         for key, prob in obs.items():
-            labels = (key,) if isinstance(key, str) else tuple(key)
-            subset = tuple(sorted(lifted.base_universe.index(lbl) for lbl in labels))
-            if len(set(subset)) != len(subset):
-                raise ValidationError(
-                    f"observation for problem {j} repeats a label in {labels!r}"
-                )
-            coord = lifted.coordinate_for_subset(j, subset)
+            coord = lifted.coordinate_for_labels(j, (key,) if isinstance(key, str) else key)
             values[coord] += to_rational(prob, where=f"probability in problem {j}")
     return validate_pi(values, lifted.layout)
 

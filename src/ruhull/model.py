@@ -160,10 +160,6 @@ class IndexLayout:
             ) from None
         return self.block_offsets[problem_index] + pos
 
-    def coordinate_info(self, coordinate: int) -> tuple[int, str]:
-        """Return (problem index, alternative label) for a coordinate."""
-        return self.block_of(coordinate), self.coordinate_labels[coordinate]
-
 
 def build_layout(
     universe: ChoiceUniverse, problems: Sequence[ChoiceProblem]

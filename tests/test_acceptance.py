@@ -206,7 +206,7 @@ def test_criterion_6_restricted_axiom_gap():
     with criterion(6, "whole-set data: restricted axiom holds yet no mixture exists"):
         universe, problems, _ = make_instance("ab", [("a", "b")])
         lifted = lift_layout(universe, problems)
-        ts = correspondence_types_from_linear_orders(universe, problems, lifted)
+        ts = correspondence_types_from_linear_orders(lifted)
         pi = lift_set_valued_data([{("a", "b"): 1}], lifted)
         assert check_restricted_arsp(pi, ts, lifted).holds is True
         assert isinstance(membership.test_membership(pi, ts), SeparatingVector)
@@ -225,9 +225,7 @@ def test_criterion_7_singleton_recovery():
                 membership.test_membership(pi, base_ts), MixingDistribution
             )
             lifted = lift_layout(universe, problems)
-            lifted_ts = correspondence_types_from_linear_orders(
-                universe, problems, lifted
-            )
+            lifted_ts = correspondence_types_from_linear_orders(lifted)
             lifted_pi = singleton_choice_data(pi, lifted)
             raised = isinstance(
                 membership.test_membership(lifted_pi, lifted_ts), MixingDistribution

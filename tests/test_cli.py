@@ -3,10 +3,11 @@ import pathlib
 
 import pytest
 
-from ruhull import load_instance, run_verify
+from ruhull import Instance, load_instance, run_verify
 from ruhull.cli import main
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "instances"
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
 @pytest.fixture()
@@ -136,6 +137,17 @@ class TestOtherCommands:
     def test_facets_cap_override(self, write_instance, capsys):
         path = write_instance(CYCLIC_TREE)
         assert main(["facets", path, "--max-coordinates", "4"]) == 4
+
+    def test_facets_refuses_before_listing_types(self, monkeypatch, capsys):
+        # 72 coordinates: the 9! = 362880 orders are never listed.
+        def refuse(self):
+            raise AssertionError("types were listed")
+
+        monkeypatch.setattr(Instance, "type_set", property(refuse))
+        assert main(["facets", str(FIXTURES / "nine_alternatives_planted.json")]) == 4
+        err = capsys.readouterr().err
+        assert "refusing 72 coordinates" in err
+        assert "24 coordinates)" in err
 
     def test_lift_output_rechecks(self, write_instance, tmp_path, capsys):
         path = write_instance(FOOTNOTE_TREE)

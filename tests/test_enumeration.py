@@ -99,7 +99,7 @@ class TestPrefixTreeEnumeration:
         universe, base, layout = make_instance(labels, problems)
         lifted = lift_layout(universe, base)
         expected = singleton_types(permutation_types(layout), lifted)
-        assert correspondence_types_from_linear_orders(universe, base, lifted) == expected
+        assert correspondence_types_from_linear_orders(lifted) == expected
 
 
 class TestExplicitTypes:
@@ -145,7 +145,7 @@ class TestCorrespondenceTypes:
         # a>b selects {a}; b>a selects {b}; a~b selects {a,b}.
         universe, problems, _ = make_instance("ab", [("a", "b")])
         lifted = lift_layout(universe, problems)
-        ts = correspondence_types_from_weak_orders(universe, problems, lifted)
+        ts = correspondence_types_from_weak_orders(lifted)
         assert len(ts) == 3
         chosen_subsets = {
             lifted.block_subsets(0)[t.chosen[0]] for t in ts.types
@@ -155,7 +155,7 @@ class TestCorrespondenceTypes:
     def test_singleton_universe(self):
         universe, problems, _ = make_instance("a", [("a",)])
         lifted = lift_layout(universe, problems)
-        ts = correspondence_types_from_weak_orders(universe, problems, lifted)
+        ts = correspondence_types_from_weak_orders(lifted)
         assert len(ts) == 1
         # Block order is {}, {a}; the single type must pick {a}.
         assert type_bits(ts.types[0], ts.layout) == (0, 1)
@@ -163,7 +163,7 @@ class TestCorrespondenceTypes:
     def test_linear_orders_never_select_non_singletons(self):
         universe, problems, _ = make_instance("abc", [("a", "b"), ("a", "b", "c")])
         lifted = lift_layout(universe, problems)
-        ts = correspondence_types_from_linear_orders(universe, problems, lifted)
+        ts = correspondence_types_from_linear_orders(lifted)
         for t in ts.types:
             for j in range(lifted.layout.problem_count):
                 subset = lifted.block_subsets(j)[
@@ -174,7 +174,7 @@ class TestCorrespondenceTypes:
     def test_weak_order_types_never_select_empty_set(self):
         universe, problems, _ = make_instance("abc", [("a", "b"), ("b", "c")])
         lifted = lift_layout(universe, problems)
-        ts = correspondence_types_from_weak_orders(universe, problems, lifted)
+        ts = correspondence_types_from_weak_orders(lifted)
         for t in ts.types:
             for j in range(lifted.layout.problem_count):
                 subset = lifted.block_subsets(j)[
@@ -182,16 +182,9 @@ class TestCorrespondenceTypes:
                 ]
                 assert subset != ()
 
-    def test_layout_must_match(self):
-        universe, problems, _ = make_instance("ab", [("a", "b")])
-        other_u, other_p, _ = make_instance("abc", [("a", "b")])
-        lifted = lift_layout(other_u, other_p)
-        with pytest.raises(ValidationError, match="lifted layout"):
-            correspondence_types_from_weak_orders(universe, problems, lifted)
-
     def test_deterministic(self):
         universe, problems, _ = make_instance("abc", [("a", "b"), ("b", "c")])
         lifted = lift_layout(universe, problems)
-        a = correspondence_types_from_weak_orders(universe, problems, lifted)
-        b = correspondence_types_from_weak_orders(universe, problems, lifted)
+        a = correspondence_types_from_weak_orders(lifted)
+        b = correspondence_types_from_weak_orders(lifted)
         assert a == b

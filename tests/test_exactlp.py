@@ -424,7 +424,7 @@ def test_membership_matches_facets_on_four_alternative_pairwise_data():
 def test_membership_matches_facets_on_three_alternative_weak_order_data():
     universe, problems, _ = make_instance("abc", [("a", "b"), ("b", "c"), ("a", "b", "c")])
     lifted = lift_layout(universe, problems)
-    type_set = correspondence_types_from_weak_orders(universe, problems, lifted)
+    type_set = correspondence_types_from_weak_orders(lifted)
     _agree_with_facets(lifted.layout, type_set, seeded(22), 60)
 
 

@@ -381,7 +381,7 @@ class TestLiftedHulls:
 
         universe, problems, _ = make_instance("ab", [("a", "b")])
         lifted = lift_layout(universe, problems)
-        ts = correspondence_types_from_weak_orders(universe, problems, lifted)
+        ts = correspondence_types_from_weak_orders(lifted)
         h = enumerate_facets(ts)
         assert h.dimension == 2
         vertices = [type_bits(t, ts.layout) for t in ts.types]
@@ -399,7 +399,7 @@ class TestLiftedHulls:
 
         universe, problems, _ = make_instance("abc", [("a", "b"), ("b", "c")])
         lifted = lift_layout(universe, problems)
-        ts = correspondence_types_from_weak_orders(universe, problems, lifted)
+        ts = correspondence_types_from_weak_orders(lifted)
         h = enumerate_facets(ts)
         vertices = [type_bits(t, ts.layout) for t in ts.types]
         assert {facet_tight_set(f, vertices) for f in h.facets} == (

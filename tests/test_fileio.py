@@ -3,6 +3,7 @@ import json
 import pathlib
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from ruhull import (
     OrderTypes,
     RationalTypeSet,
     ValidationError,
+    lift_set_valued_data,
     parse_instance,
     parse_rational,
     run_check,
@@ -128,28 +130,6 @@ class TestParseInstance:
         assert instance.pi.values == (Fraction(1, 2), 0, 0, Fraction(1, 2))
         assert len(instance.type_set) == 3
 
-    def test_set_valued_non_subset_key(self):
-        text = json.dumps({
-            "universe": ["a", "b", "c"],
-            "problems": [["a", "b"]],
-            "probabilities": [{"a,c": "1"}],
-            "types": "weak-orders",
-            "set_valued": True,
-        })
-        with pytest.raises(InstanceParseError, match="not a subset"):
-            parse_instance(text)
-
-    def test_set_valued_unknown_label_in_key(self):
-        text = json.dumps({
-            "universe": ["a", "b"],
-            "problems": [["a", "b"]],
-            "probabilities": [{"z": "1"}],
-            "types": "weak-orders",
-            "set_valued": True,
-        })
-        with pytest.raises(InstanceParseError, match="unknown label"):
-            parse_instance(text)
-
     def test_comma_labels_rejected_when_set_valued(self):
         text = json.dumps({
             "universe": ["a,x", "b"],
@@ -197,8 +177,13 @@ PARSE_ERRORS = [
      "instance.probabilities[0]", "map subsets to probabilities"),
     ("subset-key-repeats-a-label", {**SET_VALUED_TREE, "probabilities": [{"a,a": "1"}]},
      "instance.probabilities[0]['a,a']", "repeats a label"),
-    # Lifting adds up the values of equal keys, so without this check the
-    # map would be read as {a,b}: 1 and accepted.
+    ("subset-key-unknown-label", {**SET_VALUED_TREE, "probabilities": [{"z": "1"}]},
+     "instance.probabilities[0]['z']", "unknown label 'z'"),
+    ("subset-key-not-a-subset",
+     {**SET_VALUED_TREE, "universe": ["a", "b", "c"], "probabilities": [{"a,c": "1"}]},
+     "instance.probabilities[0]['a,c']", "{a,c} is not a subset of problem 0"),
+    # Both keys resolve to the coordinate of {a,b}; the second is refused, not
+    # added to or written over the first.
     ("two-keys-for-one-subset",
      {**SET_VALUED_TREE, "probabilities": [{"a,b": "1/2", "b,a": "1/2"}]},
      "instance.probabilities[0]['b,a']", "duplicate subset key"),
@@ -251,6 +236,54 @@ class TestDigest:
         a = parse_instance(make_text())
         b = parse_instance(make_text(probabilities=[["1/2", "1/2"]]))
         assert a.digest != b.digest
+
+
+@st.composite
+def set_valued_rewrites(draw):
+    """A set-valued instance tree over at most 4 alternatives, and the same
+    instance written another way: each key's labels in another order, each
+    map's entries in another order, and zero entries added."""
+    labels = list("abcd"[: draw(st.integers(1, 4))])
+    problems = draw(st.lists(
+        st.lists(st.sampled_from(labels), min_size=1, unique=True).map(sorted),
+        min_size=1,
+        max_size=3,
+    ))
+    maps, rewritten = [], []
+    for problem in problems:
+        subsets = [s for k in range(len(problem) + 1) for s in combinations(problem, k)]
+        given = draw(st.lists(st.sampled_from(subsets), min_size=1, unique=True))
+        weights = draw(st.lists(st.integers(1, 5), min_size=len(given), max_size=len(given)))
+        values = [str(Fraction(w, sum(weights))) for w in weights]
+        maps.append({",".join(s): v for s, v in zip(given, values)})
+        zeros = draw(st.lists(st.sampled_from(subsets), unique=True))
+        entries = list(zip(given, values)) + [(s, "0") for s in zeros if s not in given]
+        entries = draw(st.permutations(entries))
+        rewritten.append({",".join(draw(st.permutations(s))): v for s, v in entries})
+    tree = {
+        "universe": labels,
+        "problems": problems,
+        "probabilities": maps,
+        "types": "weak-orders",
+        "set_valued": True,
+    }
+    return tree, {**tree, "probabilities": rewritten}
+
+
+class TestSetValuedParse:
+    @settings(max_examples=100, deadline=None)
+    @given(set_valued_rewrites())
+    def test_parse_matches_lifting_and_digest_is_canonical(self, trees):
+        tree, rewritten = trees
+        instance = parse_instance(json.dumps(tree))
+        observations = [
+            {tuple(key.split(",")) if key else (): Fraction(v) for key, v in m.items()}
+            for m in tree["probabilities"]
+        ]
+        assert instance.pi == lift_set_valued_data(observations, instance.lifted)
+        other = parse_instance(json.dumps(rewritten))
+        assert other.pi == instance.pi
+        assert other.digest == instance.digest
 
 
 class TestRunCheckAndVerify:

@@ -131,7 +131,7 @@ class TestLiftData:
         with pytest.raises(LayoutMismatch, match="lifted layout's base"):
             singleton_choice_data(validate_pi([1, 0, 0], other), lifted)
         base = validate_pi([1, 0], lifted.base_layout)
-        types = correspondence_types_from_linear_orders(universe, problems, lifted)
+        types = correspondence_types_from_linear_orders(lifted)
         with pytest.raises(LayoutMismatch, match="must agree"):
             check_restricted_arsp(base, types, lifted)
 
@@ -168,7 +168,7 @@ class TestRestrictedAxiomGap:
         # downward-closed query values the data and every type identically,
         # so the restricted axiom holds, yet the data is not a mixture.
         universe, problems, lifted = pair_lift
-        ts = correspondence_types_from_linear_orders(universe, problems, lifted)
+        ts = correspondence_types_from_linear_orders(lifted)
         pi = lift_set_valued_data([{("a", "b"): 1}], lifted)
         assert check_restricted_arsp(pi, ts, lifted).holds is True
         result = membership.test_membership(pi, ts)
@@ -176,7 +176,7 @@ class TestRestrictedAxiomGap:
 
     def test_mixtures_always_pass_restricted_axiom(self, pair_lift):
         universe, problems, lifted = pair_lift
-        ts = correspondence_types_from_weak_orders(universe, problems, lifted)
+        ts = correspondence_types_from_weak_orders(lifted)
         pi = lift_set_valued_data(
             [{("a",): Fraction(1, 4), ("a", "b"): Fraction(3, 4)}], lifted
         )
@@ -185,7 +185,7 @@ class TestRestrictedAxiomGap:
 
     def test_empty_choice_needs_empty_friendly_types(self, pair_lift):
         universe, problems, lifted = pair_lift
-        ts = correspondence_types_from_weak_orders(universe, problems, lifted)
+        ts = correspondence_types_from_weak_orders(lifted)
         pi = lift_set_valued_data([{(): 1}], lifted)
         # Maximizer types never choose the empty set, so this cannot mix.
         assert isinstance(membership.test_membership(pi, ts), SeparatingVector)
@@ -196,7 +196,7 @@ class TestRestrictedAxiomGap:
         rng = seeded(seed)
         universe, problems, _ = random_small_instance(rng, max_universe=3, max_problems=2)
         lifted = lift_layout(universe, problems)
-        ts = correspondence_types_from_weak_orders(universe, problems, lifted)
+        ts = correspondence_types_from_weak_orders(lifted)
         pi = random_rational_pi(lifted.layout, rng, max_numerator=3)
         if isinstance(membership.test_membership(pi, ts), MixingDistribution):
             assert check_restricted_arsp(pi, ts, lifted).holds is True
@@ -222,7 +222,7 @@ class TestSingletonRecovery:
         )
 
         lifted = lift_layout(universe, problems)
-        lifted_ts = correspondence_types_from_linear_orders(universe, problems, lifted)
+        lifted_ts = correspondence_types_from_linear_orders(lifted)
         lifted_pi = singleton_choice_data(base_pi, lifted)
         lifted_verdict = isinstance(
             membership.test_membership(lifted_pi, lifted_ts), MixingDistribution
@@ -355,9 +355,7 @@ class TestLiftedView:
             lifted, _, type_set = lifted_view(
                 self.instance(universe, problems, "linear-orders")
             )
-            correspondence = correspondence_types_from_linear_orders(
-                universe, problems, lifted
-            )
+            correspondence = correspondence_types_from_linear_orders(lifted)
             for lifted_types in (type_set, correspondence):
                 assert len(lifted_types) == len(expected)
                 assert self.chosen_subsets(lifted, lifted_types) == expected

@@ -72,11 +72,10 @@ class TestLayout:
         with pytest.raises(ValidationError):
             build_layout(universe, [])
 
-    def test_coordinate_info(self, pairwise3):
+    def test_coordinate_blocks_and_labels(self, pairwise3):
         _, _, layout, _ = pairwise3
-        assert layout.coordinate_info(0) == (0, "a")
-        assert layout.coordinate_info(3) == (1, "c")
-        assert layout.coordinate_info(5) == (2, "c")
+        assert layout.coordinate_blocks == (0, 0, 1, 1, 2, 2)
+        assert layout.coordinate_labels == ("a", "b", "a", "c", "b", "c")
 
 
 class TestValidatePi:

@@ -94,7 +94,7 @@ def _lifted_domain(rng):
     build = rng.choice(
         (correspondence_types_from_linear_orders, correspondence_types_from_weak_orders)
     )
-    return lifted.layout, build(universe, base, lifted)
+    return lifted.layout, build(lifted)
 
 
 def _explicit_domain(rng):
