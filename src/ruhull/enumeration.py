@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .errors import CapExceeded, LayoutMismatch, ValidationError
 from .lifting import LiftedLayout
@@ -91,7 +91,9 @@ class OrderTypes:
                    f(S) + sum of y[pick(P, C & P)] over the P that meet C and miss S,
 
     and the best value is f(universe): O(2^n sum |P|) exact additions for
-    linear orders, O(3^n sum |P|) for weak orders. The class ranked last on
+    linear orders, O(3^n sum |P|) for weak orders. ``best(y, avoid)`` keeps
+    only the orders that pick no coordinate in ``avoid``: a step that would
+    decide a problem with such a pick is barred. The class ranked last on
     a best way to each state traces the maximizing type back. ``admits(t)`` is
     Richter's (1966) test: a pattern is a type iff no strict revealed
     preference (its pick over another member of a problem) lies on a cycle
@@ -180,13 +182,19 @@ class OrderTypes:
         walk(list(range(len(masks))))
         return make_type_set(map(ChoiceTypeVector, patterns), self.layout)
 
-    def best(self, y: Sequence[Rational]) -> tuple[Rational, ChoiceTypeVector]:
-        """max over the types R of inner(y, R), exactly, and its canonically first
-        maximizer (the largest ``chosen``): the pair ``max_over_types`` returns.
+    def best(
+        self, y: Sequence[Rational], avoid: AbstractSet[int] = frozenset()
+    ) -> tuple[Rational, ChoiceTypeVector] | None:
+        """max over the types R that pick no coordinate in ``avoid`` of
+        inner(y, R), exactly, and its canonically first maximizer (the
+        largest ``chosen``): the pair ``max_over_types`` returns over those
+        types. None when every type picks a coordinate in ``avoid``.
 
         The dynamic program runs once, on integers: y is scaled to integers,
         and each coordinate's tie digit is added below the value's unit, so
-        one maximum orders (value, ``chosen``) lexicographically.
+        one maximum orders (value, ``chosen``) lexicographically. Ranking a
+        class next is barred from a state where it would decide a problem
+        with a pick in ``avoid``, and a state no order reaches is skipped.
         """
         if len(y) != self.layout.coordinate_count:
             raise LayoutMismatch(
@@ -200,9 +208,15 @@ class OrderTypes:
             for v, digit in zip(y, self._digits)
         ]
         # Per class: its mask, (problem mask, weight of the pick) of each
-        # problem it meets where that weight is nonzero, and its index.
+        # problem it meets where that weight is nonzero, the masks of the
+        # problems where its pick is to be avoided, and its index.
         steps = [
-            (cls, [(mask, weights[c]) for mask, c in picks if weights[c]], k)
+            (
+                cls,
+                [(mask, weights[c]) for mask, c in picks if weights[c]],
+                [mask for mask, c in picks if c in avoid],
+                k,
+            )
             for k, (cls, picks) in enumerate(self._class_picks)
         ]
         states = 1 << self._size
@@ -211,8 +225,12 @@ class OrderTypes:
         last_class = [0] * states  # the class ranked last on a best way to each state
         for ranked in range(states - 1):
             base_value = best[ranked]
-            for cls, collected, k in steps:
+            if base_value is None:
+                continue
+            for cls, collected, barred, k in steps:
                 if ranked & cls:
+                    continue
+                if barred and not all(mask & ranked for mask in barred):
                     continue
                 value = base_value
                 for mask, weight in collected:
@@ -222,6 +240,8 @@ class OrderTypes:
                 if best[grown] is None or value > best[grown]:
                     best[grown] = value
                     last_class[grown] = k
+        if best[states - 1] is None:
+            return None
         chosen = [-1] * len(self._masks)
         blocks = self.layout.coordinate_blocks
         ranked = states - 1

@@ -3,9 +3,9 @@
 Solves "find x >= 0 with A x = b" by a revised Phase-I simplex; when the
 system is infeasible the final duals give a Farkas certificate y with
 y A <= 0 componentwise and y b > 0. A has integer entries and is given by a
-``ColumnOracle``, which names the best column for given row prices and
-lists one column's nonzeros on demand, so no caller builds a matrix and the
-engine never scans one.
+``ColumnOracle``, which names a column with positive price under given row
+prices, if one exists, and lists one column's nonzeros on demand, so no
+caller builds a matrix and the engine never scans one.
 
 Every row is first oriented so its right-hand side is nonnegative and
 scaled so that right-hand side is an integer. One artificial variable per
@@ -14,19 +14,23 @@ row starts basic. The simplex keeps only the m x (m + 1) block
 rows, together with the objective row restricted to those columns; a
 structural column of the tableau is rebuilt on demand as B^-1 a_j.
 
-Each iteration asks the oracle for the best structural column against the
-duals w: the objective entry of artificial i is its reduced cost 1 - w_i,
-so the reduced cost of column j is -w . a_j and the column with the largest
-w . a_j > 0 enters (ties to the first in the oracle's column order). The
-membership LP and the restricted LP both ask their type family for the
-best type (``membership.TypeColumns``), so neither lists its columns. The
-leaving row is chosen by the lexicographic ratio test
-on the rows of [beta | B^-1] divided by the entering column (Dantzig, Orden
-& Wolfe, 1955). Those rows start lexicographically positive (beta >= 0,
-B^-1 = I), stay so, and are pairwise distinct because B^-1 is nonsingular,
-so the choice is unique and the objective row strictly increases
-lexicographically: no basis repeats and the method terminates under any
-entering rule. Artificial columns are never priced, so an artificial that
+Each iteration first checks the phase-I objective, the sum of the
+artificials: at zero the basic point is feasible and the loop stops (any
+further pivot would be degenerate and leave every basic value as it is).
+Otherwise it asks the oracle for a structural column against the duals w:
+the objective entry of artificial i is its reduced cost 1 - w_i, so the
+reduced cost of column j is -w . a_j, and the oracle names a column with
+w . a_j > 0 if any exists; when none does, the duals are a Farkas
+certificate. The membership LP and the restricted LP both ask their type
+family for the best type (``membership.TypeColumns``), so neither lists its
+columns; the membership LP first offers the best type among those that
+avoid the data's zeros. The leaving row is chosen by the lexicographic
+ratio test on the rows of [beta | B^-1] divided by the entering column
+(Dantzig, Orden & Wolfe, 1955). Those rows start lexicographically
+positive (beta >= 0, B^-1 = I), stay so, and are pairwise distinct because
+B^-1 is nonsingular, so the choice is unique and the objective row strictly
+increases lexicographically: no basis repeats and the method terminates
+under any entering rule. Artificial columns are never priced, so an artificial that
 leaves the basis never returns; this does not change feasibility (a feasible
 point uses no artificials).
 
@@ -61,8 +65,9 @@ times a positive constant: the pivots, bases, points and Farkas multipliers
 are those of the dense update, and everything runs on plain integers.
 
 At the end the objective value is zero (a basic feasible point whose support
-columns are linearly independent) or positive (the duals w / divisor, mapped
-back through the row scaling, are the Farkas multipliers).
+columns are linearly independent) or positive with no column pricing
+positive (the duals w / divisor, mapped back through the row scaling, are
+the Farkas multipliers).
 """
 
 from __future__ import annotations
@@ -98,11 +103,12 @@ class FarkasCertificate:
 class ColumnOracle(Protocol):
     """A matrix A of integers seen through its columns, none of them listed.
 
-    ``len`` is A's row count. ``best(u)`` returns max over the columns a of
-    u . a and the key of the first column attaining it, in a fixed column
-    order; ``column(key)`` lists that column's nonzeros as (row, value)
-    pairs, every value an integer. A caller with rational entries scales
-    each row and its right-hand side to integers first.
+    ``len`` is A's row count. ``best(u)`` returns u . a and the key of one
+    column a, with u . a > 0 whenever some column has a positive price (so
+    a price <= 0 means no column has one). ``column(key)`` lists that
+    column's nonzeros as (row, value) pairs, every value an integer. A
+    caller with rational entries scales each row and its right-hand side to
+    integers first.
     """
 
     def __len__(self) -> int: ...
@@ -153,9 +159,10 @@ def solve_equality_feasibility(
 def _phase_one(b: list[int], price, column):
     """The simplex loop on the scaled system, whose right-hand side b is >= 0.
 
-    ``price(w)`` returns the largest w . a_j over the scaled columns a_j and
-    the key of the first column attaining it; ``column(key)`` lists that
-    column's scaled nonzeros. Returns (the basic columns' (key, value) pairs,
+    ``price(w)`` returns w . a_j and the key of a scaled column a_j, one
+    with w . a_j > 0 if any exists; ``column(key)`` lists that column's
+    scaled nonzeros. The loop stops when the objective reaches zero or no
+    column prices positive. Returns (the basic columns' (key, value) pairs,
     None) when the system is feasible, and (None, the duals of the scaled
     rows) when it is not.
     """
@@ -172,7 +179,7 @@ def _phase_one(b: list[int], price, column):
     basis: list[Hashable | None] = [None] * m  # structural column basic in each row; None: its artificial
     divisor = 1
 
-    while True:
+    while obj.get(m):  # the objective, -obj[m] / divisor, is still positive
         w = [divisor - obj.get(i, 0) for i in range(m)]
         best, entering = price(w)
         if best <= 0:

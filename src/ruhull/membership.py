@@ -26,6 +26,19 @@ the restricted LP's types too; ``enumeration.OrderTypes`` answers by its
 dynamic program, so no stage lists the n! orders), and the family's
 canonical tie-break makes that the column a scan of the listed types would
 enter: the pivots, mixtures and separators are the same either way.
+
+Zero-probability presolve. Let Z be the coordinates where the data is 0.
+Weights are positive and types are 0/1, so no type that picks a coordinate
+in Z is in any mixture that reproduces the data. If every type picks one
+(one ``best`` call with ``avoid`` = Z decides it), the separator is the
+indicator of the data's support, shifted per block like a Farkas vector.
+On it the data scores the number of blocks that meet Z, and every type at
+least 1 less. This is the axiom failing on the trials "the choice from B
+lies in the support of the data on B". Otherwise the LP prices the types
+that avoid Z first: while one of them prices positive it enters, so a
+feasible point is a mixture of them; once none does, the whole family is
+priced for the rest of the solve, so an infeasible end still has no type
+pricing positive and its Farkas vector separates the data from every type.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Mapping, Sequence
+from typing import AbstractSet, Hashable, Mapping, Sequence
 
 from .errors import LayoutMismatch
 from .exactlp import FeasiblePoint, solve_equality_feasibility
@@ -101,16 +114,22 @@ def test_membership(
     n_coords = layout.coordinate_count
     blocks = [layout.block_range(j) for j in range(layout.problem_count)]
 
-    # One row per coordinate but the last of its block, then the convexity
-    # row.
-    kept = [i for block in blocks for i in block[:-1]]
-    rhs = [pi.values[i] for i in kept] + [Fraction(1)]
-    result = solve_equality_feasibility(TypeColumns(types, [(i,) for i in kept]), rhs)
-    if isinstance(result, FeasiblePoint):
-        return MixingDistribution(layout, type_weights(result.x))
-    y = [Fraction(0)] * n_coords
-    for i, v in zip(kept, result.y):
-        y[i] = v
+    zeros = frozenset(i for i, v in enumerate(pi.values) if not v)
+    if zeros and types.best([0] * n_coords, zeros) is None:
+        # No type avoids the zeros: separate by the support's indicator.
+        y = [int(v > 0) for v in pi.values]
+    else:
+        # One row per coordinate but the last of its block, then the
+        # convexity row.
+        kept = [i for block in blocks for i in block[:-1]]
+        rhs = [pi.values[i] for i in kept] + [Fraction(1)]
+        oracle = TypeColumns(types, [(i,) for i in kept], avoid=zeros)
+        result = solve_equality_feasibility(oracle, rhs)
+        if isinstance(result, FeasiblePoint):
+            return MixingDistribution(layout, type_weights(result.x))
+        y = [Fraction(0)] * n_coords
+        for i, v in zip(kept, result.y):
+            y[i] = v
     for block in blocks:
         low = min(y[i] for i in block)
         for i in block:
@@ -134,12 +153,24 @@ class TypeColumns:
     the column order, so they win ties with the types. The membership LP
     keeps one coordinate per row; the restricted LP keeps one restricted
     query per row, with surplus columns.
+
+    With ``avoid``, ``best`` returns the best type that picks no coordinate
+    in ``avoid`` while that type prices positive; from the first call where
+    it does not, ``best`` prices the whole family, for the rest of the
+    solve. The membership LP passes the data's zeros.
     """
 
-    def __init__(self, types: TypeFamily, rows: Sequence[Sequence[int]], surplus: bool = False):
+    def __init__(
+        self,
+        types: TypeFamily,
+        rows: Sequence[Sequence[int]],
+        surplus: bool = False,
+        avoid: AbstractSet[int] = frozenset(),
+    ):
         self.types = types
         self.rows = rows
         self.surplus = surplus
+        self.avoid = avoid
         self.rows_of: list[list[int]] = [[] for _ in range(types.layout.coordinate_count)]
         for r, coords in enumerate(rows):
             for c in coords:
@@ -154,6 +185,11 @@ class TypeColumns:
             if v:
                 for c in coords:
                     y[c] += v
+        if self.avoid:
+            found = self.types.best(y, self.avoid)
+            if found is not None and found[0] + u[-1] > 0:
+                return found[0] + u[-1], found[1]
+            self.avoid = frozenset()
         value, t = self.types.best(y)
         value += u[-1]
         if self.surplus and self.rows:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence, Union
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Protocol, Sequence, Union
 
 from . import _kernels
 from .errors import LayoutMismatch, ValidationError
@@ -263,8 +263,13 @@ class RationalTypeSet:
 
     # ``TypeFamily``: a scan of the listed types and a set lookup.
 
-    def best(self, y: Sequence[Rational]) -> tuple[Rational, ChoiceTypeVector]:
-        return max_over_types(y, self)
+    def best(
+        self, y: Sequence[Rational], avoid: AbstractSet[int] = frozenset()
+    ) -> tuple[Rational, ChoiceTypeVector] | None:
+        if not avoid:
+            return max_over_types(y, self)
+        kept = tuple(t for t in self.types if avoid.isdisjoint(t.chosen))
+        return max_over_types(y, RationalTypeSet(self.layout, kept)) if kept else None
 
     def admits(self, t: ChoiceTypeVector) -> bool:
         return t in self._members
@@ -277,7 +282,8 @@ class RationalTypeSet:
 class TypeFamily(Protocol):
     """The admissible types on a layout, asked rather than listed.
 
-    Two questions: the best type under a functional, and whether a type is
+    Two questions: the best type under a functional, optionally among the
+    types that pick no coordinate of a given set, and whether a type is
     admitted. Every decision, a one-type set's included, asks only these.
     ``RationalTypeSet`` answers by a scan of its listed types and
     ``enumeration.OrderTypes`` by a dynamic program over orders; both break
@@ -286,8 +292,12 @@ class TypeFamily(Protocol):
 
     layout: IndexLayout
 
-    def best(self, y: Sequence[Rational]) -> tuple[Rational, ChoiceTypeVector]:
-        """max over the types R of inner(y, R), and the canonically first maximizer."""
+    def best(
+        self, y: Sequence[Rational], avoid: AbstractSet[int] = frozenset()
+    ) -> tuple[Rational, ChoiceTypeVector] | None:
+        """max over the types R that pick no coordinate in ``avoid`` of
+        inner(y, R), and the canonically first maximizer; None when every
+        type picks a coordinate in ``avoid``."""
 
     def admits(self, t: ChoiceTypeVector) -> bool:
         """Whether ``t`` is one of the types."""

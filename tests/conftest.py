@@ -12,7 +12,7 @@ from ruhull import (
     types_from_linear_orders,
     validate_pi,
 )
-from ruhull.exactlp import FarkasCertificate, solve_equality_feasibility
+from ruhull.exactlp import FarkasCertificate, FeasiblePoint, solve_equality_feasibility
 
 LABELS = "abcdefghij"
 
@@ -212,6 +212,23 @@ def solve_rows(rows, rhs, n_columns):
     if isinstance(result, FarkasCertificate):
         return FarkasCertificate(tuple(y * s for y, s in zip(result.y, oracle.scales)))
     return result
+
+
+def full_row_verdict(pi, type_set):
+    """Whether pi is a type mixture, by the LP with one row per coordinate.
+
+    Every listed type is a column and every type prices in every pivot: the
+    dense reference for the membership LP's verdict.
+    """
+    types = type_set.types
+    ones = [(k, 1) for k in range(len(types))]
+    rows = [[] for _ in pi.values]
+    for entry, t in zip(ones, types):
+        for i in t.chosen:
+            rows[i].append(entry)
+    rows.append(ones)
+    result = solve_rows(rows, list(pi.values) + [1], len(types))
+    return isinstance(result, FeasiblePoint)
 
 
 # --- random generators --------------------------------------------------------

@@ -234,18 +234,20 @@ def _dense_lex_less(block, col, a, b, m):
     raise AssertionError("basis inverse has proportional rows")
 
 
-def dense_phase_one(b, price, column, pivots):
+def dense_phase_one(b, price, column, pivots, to_optimality=False):
     """Reference ``_phase_one``; appends (entering, leaving, rows hit) per pivot.
 
     "Rows hit" counts the rows other than the leaving one whose entry in
-    the entering column is nonzero.
+    the entering column is nonzero. Like the engine it stops when the
+    objective reaches zero; with ``to_optimality`` it pivots on until no
+    column prices positive.
     """
     m = len(b)
     block = [[int(i == k) for k in range(m)] + [bi] for i, bi in enumerate(b)]
     obj = [0] * m + [-sum(b)]
     basis = [None] * m
     divisor = 1
-    while True:
+    while obj[m] or to_optimality:
         w = [divisor - v for v in obj[:m]]
         best, entering = price(w)
         if best <= 0:
@@ -273,13 +275,15 @@ def dense_phase_one(b, price, column, pivots):
     return None, [Fraction(wi, divisor) for wi in w]
 
 
-def solve_dense(rows, rhs):
+def solve_dense(rows, rhs, to_optimality=False):
     """The reference's result and its (entering, leaving, rows hit) pivots."""
     pivots = []
+
+    def phase_one(b, price, column):
+        return dense_phase_one(b, price, column, pivots, to_optimality)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            exactlp, "_phase_one", lambda b, price, column: dense_phase_one(b, price, column, pivots)
-        )
+        mp.setattr(exactlp, "_phase_one", phase_one)
         return solve(rows, rhs), pivots
 
 
@@ -364,6 +368,22 @@ def test_sparse_engine_matches_dense_reference(system):
     check_result(rows, rhs, result)
 
 
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_stopping_at_objective_zero_keeps_the_point(system):
+    # Past objective zero every pivot is degenerate: it swaps a basic
+    # column at value zero and leaves every basic value as it is. So the
+    # point's nonzero entries are those of pivoting on to optimality.
+    rows, rhs = system
+    result = solve(rows, rhs)
+    optimal, _ = solve_dense(rows, rhs, to_optimality=True)
+    assert isinstance(result, FeasiblePoint) == isinstance(optimal, FeasiblePoint)
+    if isinstance(result, FeasiblePoint):
+        assert {j: v for j, v in result.x.items() if v} == {
+            j: v for j, v in optimal.x.items() if v
+        }
+
+
 def test_pivot_updates_only_the_rows_it_touches():
     # Per pivot: one bareiss_row call for each other row with a nonzero
     # entering entry, one for the objective row, and at most one rescale of
@@ -386,7 +406,10 @@ def test_pivot_updates_only_the_rows_it_touches():
                 per_pivot.append([])
             else:
                 per_pivot[-1].append(event)
-        assert per_pivot.pop() == []  # the last pricing finds no column
+        # An infeasible system ends with a pricing that finds no column; a
+        # feasible one ends at objective zero, without pricing.
+        if isinstance(result, FarkasCertificate):
+            assert per_pivot.pop() == []
         assert len(per_pivot) == len(pivots)
         for calls, (_, _, hit) in zip(per_pivot, pivots):
             updates = [c for c in calls if c[0]]

@@ -235,6 +235,50 @@ def test_best_is_the_scan_s_first_maximizer(name, ties):
         assert engine.best(y) == max_over_types(y, expected), y
 
 
+def _avoid_sets(rng, layout, types):
+    """Coordinate sets to avoid: empty, random at three densities, all but
+    one type's picks, and a whole block (which every type meets)."""
+    n = layout.coordinate_count
+    out = [frozenset()]
+    for density in (0.1, 0.3, 0.5):
+        out += [frozenset(i for i in range(n) if rng.random() < density) for _ in range(3)]
+    out.append(frozenset(range(n)) - set(rng.choice(types).chosen))
+    out.append(frozenset(layout.block_range(rng.randrange(layout.problem_count))))
+    return out
+
+
+def _scan_avoiding(y, types, avoid):
+    """The first listed type with the largest value among those avoiding ``avoid``."""
+    found = None
+    for t in types:
+        if avoid.isdisjoint(t.chosen):
+            value = sum(y[i] for i in t.chosen)
+            if found is None or value > found[0]:
+                found = (value, t)
+    return found
+
+
+@pytest.mark.parametrize("name,ties", BEST_FAMILIES)
+def test_best_avoiding_is_the_filtered_scan(name, ties):
+    # The membership LP prices the types that avoid the data's zeros first:
+    # the engine and the listed type set must both give the scan of the
+    # brute-force types that avoid the set, ties included, and None when
+    # every type meets it.
+    engine, layout, expected = _brute_force(name, ties)
+    rng = seeded(f"avoid:{name}:{ties}")
+    n = layout.coordinate_count
+    functionals = _tie_heavy_functionals(rng, layout)
+    functionals += [_random_functional(rng, n, fractions) for fractions in (False, True) * 2]
+    empty = 0
+    for avoid in _avoid_sets(rng, layout, expected.types):
+        for y in functionals:
+            want = _scan_avoiding(y, expected.types, avoid)
+            assert engine.best(y, avoid) == want, (y, sorted(avoid))
+            assert expected.best(y, avoid) == want, (y, sorted(avoid))
+        empty += want is None
+    assert empty  # the whole block at least
+
+
 @pytest.mark.parametrize("name,ties", FAMILIES)
 def test_membership_through_the_engine_matches_the_type_set(name, ties):
     # One LP path for every family, one-type ones included: the engine and

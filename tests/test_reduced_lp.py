@@ -30,31 +30,17 @@ from ruhull import (
     types_from_linear_orders,
     validate_pi,
 )
-from ruhull.exactlp import FeasiblePoint
 
 from conftest import (
     LABELS,
+    full_row_verdict,
     make_instance,
     random_mixture_pi,
     random_rational_pi,
     seeded,
-    solve_rows,
 )
 
 FACET_COORDINATES = 20  # the facet oracle runs on hulls up to this size
-
-
-def full_row_verdict(pi, type_set):
-    """Whether pi is a type mixture, by the LP with one row per coordinate."""
-    types = type_set.types
-    ones = [(k, 1) for k in range(len(types))]
-    rows = [[] for _ in pi.values]
-    for entry, t in zip(ones, types):
-        for i in t.chosen:
-            rows[i].append(entry)
-    rows.append(ones)
-    result = solve_rows(rows, list(pi.values) + [1], len(types))
-    return isinstance(result, FeasiblePoint)
 
 
 @lru_cache(maxsize=None)
