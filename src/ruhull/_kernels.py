@@ -2,7 +2,7 @@
 
 * ``dot``: inner products (``model.inner``, facet offsets and the values of
   the double description rays on each inserted vertex);
-* ``best_support``: the best type for a functional (``model.max_over_types``);
+* ``best_support``: the best type for a functional (``RationalTypeSet.best``);
 * ``bareiss_row``: one row update of a fraction-free simplex pivot, and also
   the elimination step of the facets row reduction.
 
@@ -26,14 +26,18 @@ def dot(a, b):
     return s
 
 
-def best_support(t, supports):
-    """Max over s in supports of sum(t[i] for i in s); first maximizer wins.
+def best_support(t, supports, avoid):
+    """Max of sum(t[i] for i in s) over the supports s disjoint from ``avoid``.
 
-    Returns (best value, index of first maximizer).
+    Returns (best value, index of first maximizer), or (None, -1) when every
+    support meets ``avoid``.
     """
     best = None
     best_at = -1
-    for k, sup in enumerate(supports):
+    indexed = enumerate(supports)
+    if avoid:
+        indexed = ((k, sup) for k, sup in indexed if avoid.isdisjoint(sup))
+    for k, sup in indexed:
         v = 0
         for i in sup:
             v += t[i]

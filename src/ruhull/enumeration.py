@@ -187,8 +187,8 @@ class OrderTypes:
     ) -> tuple[Rational, ChoiceTypeVector] | None:
         """max over the types R that pick no coordinate in ``avoid`` of
         inner(y, R), exactly, and its canonically first maximizer (the
-        largest ``chosen``): the pair ``max_over_types`` returns over those
-        types. None when every type picks a coordinate in ``avoid``.
+        largest ``chosen``): the pair ``RationalTypeSet.best`` returns over
+        the listed types. None when every type picks a coordinate in ``avoid``.
 
         The dynamic program runs once, on integers: y is scaled to integers,
         and each coordinate's tie digit is added below the value's unit, so

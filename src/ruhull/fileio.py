@@ -32,7 +32,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .certificate import CheckOutcome, decide, integerize, positivize
 from .enumeration import (
@@ -76,6 +76,7 @@ from .model import (
     problem_from_labels,
     type_bits,
     validate_pi,
+    _show,
 )
 
 REPORT_FORMAT = "ruhull-report-v1"
@@ -361,37 +362,29 @@ def load_instance(path: str) -> Instance:
 
 def lifted_view(instance: Instance) -> tuple[LiftedLayout, StochasticChoiceVector, RationalTypeSet]:
     """The instance re-expressed on the lifted layout (identity if set-valued)."""
-    lifted, pi = _lift(instance)
-    return lifted, pi, _types_on(instance, lifted)
+    lifted, pi, types = _view(instance, True)
+    return lifted, pi, types.types() if isinstance(types, OrderTypes) else types
 
 
-def _lift(instance: Instance) -> tuple[LiftedLayout, StochasticChoiceVector]:
-    """The lifted layout and data of ``lifted_view``, without the type set."""
-    if instance.lifted is not None:
-        return instance.lifted, instance.pi
-    lifted = lift_layout(instance.universe, instance.problems)
-    return lifted, singleton_choice_data(instance.pi, lifted)
+def _view(
+    instance: Instance, lifted: bool
+) -> tuple[LiftedLayout | None, StochasticChoiceVector, TypeFamily]:
+    """The instance's lifted layout (None on the base layout), data and types.
 
-
-def _types_on(instance: Instance, lifted: LiftedLayout | None) -> RationalTypeSet:
-    """The instance's type set on its own layout, or on ``lifted`` when that is its lift."""
-    if lifted is instance.lifted:
-        return instance.type_set
-    return singleton_types(instance.type_set, lifted)
-
-
-def _family(instance: Instance, lifted: LiftedLayout | None) -> TypeFamily:
-    """The instance's types on the layout a report uses: its own, or ``lifted``.
-
-    Linear and weak orders are an ``OrderTypes`` engine, which lists
-    nothing; explicit rows are their listed set.
+    ``lifted`` asks for the lifted layout: set-valued data is already on it
+    and singleton data is carried onto its singletons. Linear and weak orders
+    are an ``OrderTypes`` engine, which lists nothing; explicit rows are
+    their listed set.
     """
-    if isinstance(instance.types, str):
-        return OrderTypes(
-            instance.layout if lifted is None else lifted,
-            ties=instance.types == "weak-orders",
-        )
-    return _types_on(instance, lifted)
+    layout, pi, types = instance.lifted, instance.pi, instance.types
+    if lifted and layout is None:
+        layout = lift_layout(instance.universe, instance.problems)
+        pi = singleton_choice_data(pi, layout)
+        if not isinstance(types, str):
+            types = singleton_types(types, layout)
+    if isinstance(types, str):
+        types = OrderTypes(layout or pi.layout, ties=types == "weak-orders")
+    return layout, pi, types
 
 
 @dataclass(frozen=True)
@@ -530,8 +523,7 @@ def run_check(
     """
     if mode != "compressed":
         raise ValidationError(f"unknown decomposition mode {mode!r}")
-    lifted, pi = instance.lifted, instance.pi
-    family = _family(instance, lifted)
+    lifted, pi, family = _view(instance, False)
     outcome = decide(pi, family)
     axiom = None
     if restricted:
@@ -539,17 +531,15 @@ def run_check(
         if lifted is None:
             # Singleton data: every type picks a singleton, so the base
             # decision carries across to the lifted layout.
-            lifted, lifted_pi = _lift(instance)
-            outcome = singleton_outcome(
-                outcome, lifted_pi, _family(instance, lifted), lifted
-            )
+            lifted, pi, family = _view(instance, True)
+            outcome = singleton_outcome(outcome, pi, family, lifted)
         elif axiom is None:
             axiom = empty_set_trial(pi, family, lifted) or check_restricted_arsp(
                 pi, family, lifted
             )
     return ResultReport(
         instance=instance,
-        layout=pi.layout if lifted is None else lifted.layout,
+        layout=pi.layout,
         flags={"mode": "compressed", "restricted_arsp": restricted},
         outcome=outcome,
         restricted=axiom,
@@ -586,17 +576,29 @@ def run_verify(instance: Instance, report: Any) -> tuple[bool, list[str]]:
     if report.get("instance_digest") != instance.digest:
         return False, ["digest mismatch: report was produced from a different instance"]
 
-    lifted_used = report.get("lifted", False)
+    command = report.get("command")
+    if command != "check":
+        return False, [f"unknown report command {_show(command, repr)}"]
+    flags = report.get("flags")
+    restricted = flags.get("restricted_arsp") if isinstance(flags, dict) else None
+    if not isinstance(restricted, bool):
+        return False, ["the restricted_arsp flag is not a boolean"]
+    if restricted != ("restricted_arsp" in report):
+        return False, [
+            "the restricted_arsp flag is set but the report has no restricted-axiom claim"
+            if restricted
+            else "the report has a restricted-axiom claim but its restricted_arsp flag is not set"
+        ]
+    lifted_used = report.get("lifted")
     if not isinstance(lifted_used, bool):
         return False, ["the lifted flag is not a boolean"]
-    if lifted_used:
-        try:
-            lifted, pi = _lift(instance)
-        except CapExceeded as exc:
-            return False, [f"the report claims a lifted layout: {exc}"]
-    else:
-        lifted, pi = instance.lifted, instance.pi
-    types = _family(instance, lifted)
+    if not lifted_used and (instance.set_valued or restricted):
+        needs = "set-valued data" if instance.set_valued else "the restricted axiom"
+        return False, [f"the report is not on the lifted layout, which {needs} needs"]
+    try:
+        lifted, pi, types = _view(instance, lifted_used)
+    except (CapExceeded, ValidationError) as exc:
+        return False, [f"the report claims a lifted layout: {exc}"]
 
     verdict = report.get("verdict")
     if verdict == "rationalizable":
@@ -606,11 +608,9 @@ def run_verify(instance: Instance, report: Any) -> tuple[bool, list[str]]:
     else:
         return False, [f"unknown verdict {_show(verdict, repr)}"]
 
-    if "restricted_arsp" in report:
+    if restricted:
         claim = report["restricted_arsp"]
-        if lifted is None:
-            failures.append("restricted-axiom claim on an instance that was not lifted")
-        elif not isinstance(claim, dict) or not isinstance(claim.get("holds"), bool):
+        if not isinstance(claim, dict) or not isinstance(claim.get("holds"), bool):
             failures.append("restricted-axiom claim is not {\"holds\": true|false, ...}")
         else:
             by_verdict = _restricted_from_verdict(instance, verdict == "rationalizable")
@@ -622,25 +622,6 @@ def run_verify(instance: Instance, report: Any) -> tuple[bool, list[str]]:
                     f"report claims {claim['holds']}"
                 )
     return not failures, failures
-
-
-def _show(value: Any, text: Callable[[Any], str] = str) -> str:
-    """``text(value)`` for a failure message; never raises.
-
-    Python refuses to print integers of more than 4300 decimal digits (see
-    ``sys.set_int_max_str_digits``), so such rationals are described by size.
-    """
-    try:
-        return text(value)
-    except ValueError:
-        if not isinstance(value, (int, Fraction)):
-            return f"<unprintable {type(value).__name__}>"
-        q = Fraction(value)
-        sign = "-" if q < 0 else ""
-        bits = abs(q.numerator).bit_length()
-        if q.denominator == 1:
-            return f"<{sign}{bits}-bit integer>"
-        return f"<{sign}{bits}-bit / {q.denominator.bit_length()}-bit fraction>"
 
 
 def _ints(value: Any) -> tuple[int, ...]:

@@ -124,9 +124,19 @@ class LiftedLayout:
 
 
 def lift_layout(universe: ChoiceUniverse, problems: Sequence[ChoiceProblem]) -> LiftedLayout:
-    """Build the lifted layout; subsets ordered by cardinality then position."""
+    """Build the lifted layout; subsets ordered by cardinality then position.
+
+    A subset's label joins its members' labels with commas, so a base label
+    holding a comma is refused: two subsets could share a label.
+    """
     if not problems:
         raise ValidationError("empty problem list")
+    for label in universe.labels:
+        if "," in label:
+            raise ValidationError(
+                f"label {label!r} contains a comma, which separates the members "
+                "of a lifted subset's label"
+            )
     would_be = sum(1 << p.size for p in problems)
     if would_be > MAX_LIFTED_COORDINATES:
         raise CapExceeded(

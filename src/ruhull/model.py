@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import AbstractSet, Iterable, Mapping, NamedTuple, Protocol, Sequence, Union
+from typing import (
+    AbstractSet, Any, Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence, Union,
+)
 
 from . import _kernels
 from .errors import LayoutMismatch, ValidationError
@@ -42,6 +44,25 @@ def to_rational(value, where: str = "value") -> Fraction:
     raise ValidationError(
         f"{where} must be an int or Fraction, got {type(value).__name__}"
     )
+
+
+def _show(value: Any, text: Callable[[Any], str] = str) -> str:
+    """``text(value)`` for an error or failure message; never raises.
+
+    Python refuses to print integers of more than 4300 decimal digits (see
+    ``sys.set_int_max_str_digits``), so such rationals are described by size.
+    """
+    try:
+        return text(value)
+    except ValueError:
+        if not isinstance(value, (int, Fraction)):
+            return f"<unprintable {type(value).__name__}>"
+        q = Fraction(value)
+        sign = "-" if q < 0 else ""
+        bits = abs(q.numerator).bit_length()
+        if q.denominator == 1:
+            return f"<{sign}{bits}-bit integer>"
+        return f"<{sign}{bits}-bit / {q.denominator.bit_length()}-bit fraction>"
 
 
 @dataclass(frozen=True)
@@ -201,13 +222,13 @@ def validate_pi(values: Sequence[Rational], layout: IndexLayout) -> StochasticCh
     for i, v in enumerate(values):
         f = to_rational(v, where=f"probability at coordinate {i}")
         if f < 0:
-            raise ValidationError(f"negative probability {f} at coordinate {i}")
+            raise ValidationError(f"negative probability {_show(f)} at coordinate {i}")
         vals.append(f)
     for j in range(layout.problem_count):
         block = layout.block_range(j)
         s = sum((vals[i] for i in block), Fraction(0))
         if s != 1:
-            raise ValidationError(f"probabilities in problem {j} sum to {s}, not 1")
+            raise ValidationError(f"probabilities in problem {j} sum to {_show(s)}, not 1")
     return StochasticChoiceVector(layout, tuple(vals))
 
 
@@ -251,8 +272,8 @@ class RationalTypeSet:
     """The finite set of admissible choice types, canonically ordered.
 
     Types are distinct and sorted lexicographically on their 0/1 rows, so
-    enumeration order (and hence tie-breaking in ``max_over_types``) is
-    deterministic across runs.
+    enumeration order (and hence tie-breaking in ``best``, the one scan of
+    the listed types) is deterministic across runs.
     """
 
     layout: IndexLayout
@@ -266,10 +287,13 @@ class RationalTypeSet:
     def best(
         self, y: Sequence[Rational], avoid: AbstractSet[int] = frozenset()
     ) -> tuple[Rational, ChoiceTypeVector] | None:
-        if not avoid:
-            return max_over_types(y, self)
-        kept = tuple(t for t in self.types if avoid.isdisjoint(t.chosen))
-        return max_over_types(y, RationalTypeSet(self.layout, kept)) if kept else None
+        if len(y) != self.layout.coordinate_count:
+            raise LayoutMismatch(
+                f"vector length {len(y)} does not match layout "
+                f"({self.layout.coordinate_count} coordinates)"
+            )
+        value, at = _kernels.best_support(y, (t.chosen for t in self.types), avoid)
+        return None if at < 0 else (value, self.types[at])
 
     def admits(self, t: ChoiceTypeVector) -> bool:
         return t in self._members
@@ -426,18 +450,8 @@ def inner(t, v) -> Rational:
 
 
 def max_over_types(t, type_set: RationalTypeSet) -> tuple[Rational, ChoiceTypeVector]:
-    """Exact max of inner(t, R) over the type set, with its first maximizer.
-
-    Ties are broken by the canonical (lexicographic) order of the type set.
-    """
-    vec = _as_vector(t)
-    if len(vec) != type_set.layout.coordinate_count:
-        raise LayoutMismatch(
-            f"vector length {len(vec)} does not match layout "
-            f"({type_set.layout.coordinate_count} coordinates)"
-        )
-    best, at = _kernels.best_support(vec, (typ.chosen for typ in type_set.types))
-    return best, type_set.types[at]
+    """Exact max of inner(t, R) over the type set, with its canonically first maximizer."""
+    return type_set.best(_as_vector(t))
 
 
 class ArspResult(NamedTuple):

@@ -141,6 +141,29 @@ class TestParseInstance:
         with pytest.raises(InstanceParseError, match="comma"):
             parse_instance(text)
 
+    def test_comma_labels_are_not_lifted(self, tmp_path, capsys):
+        # Singleton data may use the label "a,b"; its lifted label would be
+        # that of the subset {a,b}, so lifting refuses it by name.
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({
+            "universe": ["a", "b", "a,b"],
+            "problems": [["a", "b"], ["a", "a,b"]],
+            "probabilities": [["1", "0"], ["0", "1"]],
+            "types": "linear-orders",
+            "set_valued": False,
+        }))
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        for args in (["check", "--restricted-arsp"], ["lift"]):
+            assert main([*args, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "error[ValidationError]: label 'a,b' contains a comma" in err
+        instance = parse_instance(path.read_text())
+        report = run_check(instance).to_structured()
+        report["lifted"] = True
+        ok, failures = run_verify(instance, report)
+        assert not ok and "label 'a,b' contains a comma" in failures[0]
+
 
 SINGLETON_TREE = json.loads(make_text())
 SET_VALUED_TREE = {
@@ -150,6 +173,8 @@ SET_VALUED_TREE = {
     "types": "weak-orders",
     "set_valued": True,
 }
+
+HUGE = 10**2200 + 267
 
 # (id, instance tree, location, message fragment): every error exit of
 # instance parsing that the tests above leave out.
@@ -189,6 +214,14 @@ PARSE_ERRORS = [
      "instance.probabilities[0]['b,a']", "duplicate subset key"),
     ("set-valued-sum", {**SET_VALUED_TREE, "probabilities": [{"a": "1/2"}]},
      "instance.probabilities", "sum to 1/2, not 1"),
+    # Each value parses, but each sum has over 4300 digits, too many for
+    # str(): the message describes it by its size.
+    ("huge-singleton-sum",
+     {**SINGLETON_TREE, "probabilities": [[f"1/{HUGE}", f"1/{HUGE + 2}"]]},
+     "instance.probabilities", "sum to <"),
+    ("huge-set-valued-sum",
+     {**SET_VALUED_TREE, "probabilities": [{"a": f"1/{HUGE}", "b": f"1/{HUGE + 2}"}]},
+     "instance.probabilities", "sum to <"),
     ("unknown-types-keyword", {**SINGLETON_TREE, "types": "partial-orders"},
      "instance.types", "unknown types keyword 'partial-orders'"),
     ("types-not-a-keyword-or-list", {**SINGLETON_TREE, "types": 5},
@@ -210,6 +243,15 @@ class TestParseErrors:
         assert exc.value.location == location
         assert str(exc.value).startswith(f"{location}: ")
         assert message in str(exc.value)
+
+    def test_huge_sum_exits_two(self, tmp_path, capsys):
+        _, tree, _, _ = next(case for case in PARSE_ERRORS if case[0] == "huge-singleton-sum")
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(tree))
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error[InstanceParseError]: {path}.probabilities: " in err
+        assert "sum to <" in err
 
     def test_cli_exits_two(self, tmp_path, capsys):
         _, tree, location, message = next(
@@ -669,6 +711,26 @@ VERIFY_FAILURES = [
      lambda report: report["certificate"]["trials"].clear(),
      ["trials do not aggregate to the integer aggregate",
       "certificate contains no trials"]),
+    # The header must agree with the instance and with the report's body.
+    ("other-command", CYCLIC_TEXT, lambda report: report.update(command="facets"),
+     ["unknown report command 'facets'"]),
+    ("no-flags", CYCLIC_TEXT, lambda report: report.pop("flags"),
+     ["the restricted_arsp flag is not a boolean"]),
+    ("restricted-flag-without-claim", CYCLIC_TEXT,
+     lambda report: report["flags"].update(restricted_arsp=True),
+     ["the restricted_arsp flag is set but the report has no restricted-axiom claim"]),
+    ("claim-without-restricted-flag", CYCLIC_TEXT,
+     lambda report: report.update(restricted_arsp={"holds": False}),
+     ["the report has a restricted-axiom claim but its restricted_arsp flag is not set"]),
+    ("no-lifted-flag", CYCLIC_TEXT, lambda report: report.pop("lifted"),
+     ["the lifted flag is not a boolean"]),
+    ("set-valued-not-lifted", RESTRICTED_HOLDS_TEXT,
+     lambda report: report.update(lifted=False),
+     ["the report is not on the lifted layout, which set-valued data needs"]),
+    ("restricted-not-lifted", CYCLIC_TEXT,
+     lambda report: report.update(restricted_arsp={"holds": False}, flags={
+         "mode": "compressed", "restricted_arsp": True}),
+     ["the report is not on the lifted layout, which the restricted axiom needs"]),
 ]
 
 
