@@ -99,6 +99,8 @@ class OrderTypes:
     preference (its pick over another member of a problem) lies on a cycle
     of the revealed relation (its pick over every member), which the
     transitive closure of that relation decides in O(n^2 + sum |P|).
+    ``pickable`` holds every coordinate a rankable class stands for: an
+    order that ranks that class first picks it.
     """
 
     def __init__(self, layout: IndexLayout | LiftedLayout, ties: bool = False):
@@ -126,6 +128,7 @@ class OrderTypes:
                     others = tuple(a for a in base.members if a not in chosen)
                     self._picked[c] = (j, _mask(chosen), chosen, others)
             self._picks.append(picks)
+        self.pickable = frozenset(self._picked)
         # Per class an order can rank: (problem mask, pick) of each problem
         # it meets. These do not depend on the functional.
         self._class_picks = [

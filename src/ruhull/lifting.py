@@ -298,23 +298,17 @@ def empty_set_trial(
 ) -> RestrictedArsp | None:
     """The one-trial violation "the choice from B is a subset of the empty set".
 
-    That query marks only B's empty-set coordinate. When one best value over
-    the empty-set coordinates of all problems is 0, no type picks the empty
-    set, so the query collects nothing under any type and the data's mass on
-    it is the violation; the first problem with such mass is reported. None
-    when the data puts no mass on the empty set or some type picks it. Lists
-    no types and solves no LP.
+    That query marks only B's empty-set coordinate. When that coordinate is
+    not in ``types.pickable``, the query collects nothing under any type, so
+    the data's mass on it is the violation; the first problem B with such
+    mass is reported. None when there is none. Lists no types and solves no
+    LP.
     """
-    empty = [lifted.coordinate_for_subset(j, ()) for j in range(lifted.layout.problem_count)]
-    block = next((j for j, c in enumerate(empty) if pi.values[c]), None)
-    if block is None:
-        return None
-    indicator = [0] * lifted.layout.coordinate_count
-    for c in empty:
-        indicator[c] = 1
-    if types.best(indicator)[0]:
-        return None
-    return RestrictedArsp(False, trials=((Trial(block, (empty[block],)), 1),))
+    for j in range(lifted.layout.problem_count):
+        c = lifted.coordinate_for_subset(j, ())
+        if pi.values[c] and c not in types.pickable:
+            return RestrictedArsp(False, trials=((Trial(j, (c,)), 1),))
+    return None
 
 
 def check_restricted_arsp(

@@ -17,8 +17,8 @@ full length and each block is then shifted so its minimum is 0. A shift
 constant on a block moves the data and every type by the same amount, so
 the gap is unchanged; the separator is nonnegative, and so is already the
 vector the certificate pipeline positivizes. A one-type set takes the same
-LP: a single column decides it, and its Farkas vector is shifted the same
-way.
+LP when the data's mass lies on its picks: a single column decides it, and
+its Farkas vector is shifted the same way.
 
 The LP lists no columns. Each simplex iteration asks the type family for
 its best type under the current row prices (``TypeColumns``, which prices
@@ -26,6 +26,15 @@ the restricted LP's types too; ``enumeration.OrderTypes`` answers by its
 dynamic program, so no stage lists the n! orders), and the family's
 canonical tie-break makes that the column a scan of the listed types would
 enter: the pivots, mixtures and separators are the same either way.
+
+Unpicked-mass presolve. If the data puts mass on a coordinate c that no
+type picks (``pickable``, a set lookup: linear orders never pick the empty
+set or a set of two or more on a lifted layout), the separator is the unit
+vector at the first such c and no LP runs. The data scores pi_c on it and
+every type 0, so the gap is pi_c. This is the axiom failing on the single
+trial "the choice from B is S", where c is S in problem B. The gap is
+computed with one ``best`` call, like every separator's, so a ``pickable``
+that missed a picked coordinate would fail loudly, not refute wrongly.
 
 Zero-probability presolve. Let Z be the coordinates where the data is 0.
 Weights are positive and types are 0/1, so no type that picks a coordinate
@@ -114,8 +123,14 @@ def test_membership(
     n_coords = layout.coordinate_count
     blocks = [layout.block_range(j) for j in range(layout.problem_count)]
 
+    pickable = types.pickable
+    unpicked = next((i for i, v in enumerate(pi.values) if v and i not in pickable), None)
     zeros = frozenset(i for i, v in enumerate(pi.values) if not v)
-    if zeros and types.best([0] * n_coords, zeros) is None:
+    if unpicked is not None:
+        # Mass on a coordinate no type picks: separate by its unit vector.
+        y = [0] * n_coords
+        y[unpicked] = 1
+    elif zeros and types.best([0] * n_coords, zeros) is None:
         # No type avoids the zeros: separate by the support's indicator.
         y = [int(v > 0) for v in pi.values]
     else:
@@ -157,7 +172,10 @@ class TypeColumns:
     With ``avoid``, ``best`` returns the best type that picks no coordinate
     in ``avoid`` while that type prices positive; from the first call where
     it does not, ``best`` prices the whole family, for the rest of the
-    solve. The membership LP passes the data's zeros.
+    solve. The membership LP passes the data's zeros. It runs only on data
+    whose mass lies on coordinates some type picks, so a row of a
+    coordinate no type picks has right-hand side 0 and no type column
+    touches it.
     """
 
     def __init__(

@@ -282,7 +282,7 @@ class RationalTypeSet:
     def __len__(self) -> int:
         return len(self.types)
 
-    # ``TypeFamily``: a scan of the listed types and a set lookup.
+    # ``TypeFamily``: a scan of the listed types and two set lookups.
 
     def best(
         self, y: Sequence[Rational], avoid: AbstractSet[int] = frozenset()
@@ -299,6 +299,10 @@ class RationalTypeSet:
         return t in self._members
 
     @cached_property
+    def pickable(self) -> frozenset[int]:
+        return frozenset(c for t in self.types for c in t.chosen)
+
+    @cached_property
     def _members(self) -> frozenset[ChoiceTypeVector]:
         return frozenset(self.types)
 
@@ -306,15 +310,17 @@ class RationalTypeSet:
 class TypeFamily(Protocol):
     """The admissible types on a layout, asked rather than listed.
 
-    Two questions: the best type under a functional, optionally among the
-    types that pick no coordinate of a given set, and whether a type is
-    admitted. Every decision, a one-type set's included, asks only these.
+    Three questions: the best type under a functional, optionally among the
+    types that pick no coordinate of a given set; whether a type is
+    admitted; and which coordinates some type picks (``pickable``). Every
+    decision, a one-type set's included, asks only these.
     ``RationalTypeSet`` answers by a scan of its listed types and
     ``enumeration.OrderTypes`` by a dynamic program over orders; both break
     ties to the canonically first type, so every answer is the same.
     """
 
     layout: IndexLayout
+    pickable: frozenset[int]  # the coordinates that some type picks
 
     def best(
         self, y: Sequence[Rational], avoid: AbstractSet[int] = frozenset()

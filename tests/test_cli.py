@@ -284,6 +284,7 @@ CANONICAL = pathlib.Path(__file__).resolve().parent / "fixtures" / "canonical_re
 LIFTED_LAYOUT = pathlib.Path(__file__).resolve().parent / "fixtures" / "lifted_layout_reports"
 LISTED_RESTRICTED = pathlib.Path(__file__).resolve().parent / "fixtures" / "listed_restricted_reports"
 UNPRESOLVED = pathlib.Path(__file__).resolve().parent / "fixtures" / "unpresolved_reports"
+LP_SEPARATOR = pathlib.Path(__file__).resolve().parent / "fixtures" / "lp_separator_reports"
 # A restricted-axiom claim on set-valued data that fails the full axiom must
 # carry its witness: a bare {"holds": true} could only be checked by solving
 # the restricted LP, which verify does not do.
@@ -389,6 +390,21 @@ def test_unpresolved_reports_still_verify(report_path, capsys):
     # check reports written before the membership LP priced the types that
     # avoid the data's zeros first: their mixtures and separators came from
     # pricing every type on every pivot, so they differ from the goldens.
+    instance_path = _report_instance(report_path)
+    assert main(["verify", str(instance_path), str(report_path)]) == 0
+    assert capsys.readouterr().out == "verified: true\n"
+
+
+@pytest.mark.parametrize(
+    "report_path", sorted(LP_SEPARATOR.glob("*.out")), ids=lambda p: p.stem
+)
+def test_lp_separator_reports_still_verify(report_path, capsys):
+    # check reports written when the membership LP decided set-valued data
+    # with mass on a set no type picks: their certificates peel the LP's
+    # separator into many trials, where check now reports the one trial
+    # "the choice is that set", so they differ from the goldens.
+    report = json.loads(report_path.read_text())
+    assert len(report["certificate"]["trials"]) > 1
     instance_path = _report_instance(report_path)
     assert main(["verify", str(instance_path), str(report_path)]) == 0
     assert capsys.readouterr().out == "verified: true\n"

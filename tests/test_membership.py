@@ -99,8 +99,8 @@ class TestSingletonTypeSet:
         pi = validate_pi([Fraction(1, 4), Fraction(3, 4)], layout)
         result = membership.test_membership(pi, ts)
         assert isinstance(result, SeparatingVector)
-        # The data is below the type on coordinate 0: the Farkas vector,
-        # shifted so the block's minimum is 0, values coordinate 1 only.
+        # The data puts mass on coordinate 1, which the type does not pick:
+        # its unit vector separates, with gap the data's mass there.
         assert result.direction == (0, 1)
         assert result.gap == Fraction(3, 4)
         assert_valid_outcome(pi, ts, result)
@@ -136,16 +136,19 @@ def test_one_type_families_take_the_lp(name, own_data, monkeypatch):
         membership, "solve_equality_feasibility", lambda *args: calls.append(args) or solve(*args)
     )
     report = run_check(instance)
-    assert len(calls) == 1
     pi = instance.pi
-    layout = pi.layout
     if own_data:
+        assert len(calls) == 1
         assert report.outcome.mixture.weights == ((only, 1),)
         assert report.outcome.mixture.mixture == pi.values
     else:
-        direction = report.outcome.certificate.separating.direction
-        for j in range(layout.problem_count):
-            assert min(direction[i] for i in layout.block_range(j)) == 0
+        # Other data puts mass on a coordinate the one type does not pick:
+        # its unit vector separates, and no LP runs.
+        assert calls == []
+        c = next(i for i, v in enumerate(pi.values) if v and i not in only.chosen)
+        separating = report.outcome.certificate.separating
+        assert separating.direction == tuple(int(i == c) for i in range(len(pi.values)))
+        assert separating.gap == pi.values[c]
     for restricted in (False, True):
         structured = run_check(instance, restricted=restricted).to_structured()
         assert structured["verdict"] == ("rationalizable" if own_data else "not-rationalizable")

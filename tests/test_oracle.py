@@ -189,6 +189,12 @@ class TestEngineAgainstBruteForce:
         for y in functionals:
             assert engine.best(y)[0] == max_over_types(y, expected)[0], y
 
+    def test_pickable_is_what_the_brute_force_types_pick(self, name, ties):
+        engine, _, expected = _brute_force(name, ties)
+        picked = {c for t in expected.types for c in t.chosen}
+        assert engine.pickable == picked
+        assert expected.pickable == picked
+
     def test_admits_exactly_the_brute_force_types(self, name, ties):
         engine, layout, expected = _brute_force(name, ties)
         known = set(expected.types)

@@ -1,4 +1,4 @@
-"""The membership LP's zero-probability presolve against the dense reference.
+"""The membership LP's presolves against the dense reference.
 
 No type that picks a coordinate where the data is 0 can be in a mixture
 that reproduces the data. ``test_membership`` refutes without an LP when
@@ -8,16 +8,23 @@ orders, sparse random data, and deterministic data, which mostly no type
 fits) is decided through ``run_check`` and compared with the LP that lists
 every type as a column; every report must verify and every separator must
 have minimum 0 in each block.
+
+Data with mass on a coordinate that no type picks (the empty set, or under
+linear orders a set of two or more) is refuted by that coordinate's unit
+vector, with no LP; set-valued data under linear orders, weak orders and
+explicit rows (some picking the empty set, some leaving sets unpicked)
+checks that against the same reference.
 """
 
 import json
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruhull import SeparatingVector, membership, parse_instance, run_check, run_verify
+from ruhull import SeparatingVector, Trial, membership, parse_instance, run_check, run_verify
 
 from conftest import LABELS, full_row_verdict
 
@@ -135,3 +142,81 @@ def test_no_type_avoids_the_zeros_without_an_lp(cyclic_pi, pairwise3, monkeypatc
     assert isinstance(result, SeparatingVector)
     assert result.direction == (1, 0, 0, 1, 1, 0)
     assert result.gap == 1
+
+
+@st.composite
+def set_valued_instances(draw):
+    """(instance tree, data kind): set-valued data over n <= 3 under linear
+    orders, weak orders or 1-4 explicit rows, each row picking any subset
+    of each problem, the empty one included."""
+    labels = LABELS[: draw(st.integers(2, 3))]
+    problems = draw(st.lists(st.sampled_from(_subsets(labels, 1)), min_size=1, max_size=4))
+    keys = [[",".join(s) for s in _subsets(p, 0)] for p in problems]
+    types = draw(st.sampled_from(["linear-orders", "weak-orders", "explicit", "explicit"]))
+    data = draw(st.sampled_from(["planted", "sparse", "deterministic"]))
+    if types == "explicit":
+        picks = [
+            [draw(st.integers(0, len(ks) - 1)) for ks in keys]
+            for _ in range(draw(st.integers(1, 4)))
+        ]
+        types = [[int(k == pick) for ks, pick in zip(keys, row) for k in range(len(ks))]
+                 for row in picks]
+    if data != "planted":
+        spread = _one_hot if data == "deterministic" else _sparse
+        mass = [dict(zip(ks, spread(draw, len(ks)))) for ks in keys]
+    elif isinstance(types, str):
+        mass = _planted(draw, labels, problems, types == "weak-orders")
+    else:
+        weights = _fractions(draw(st.lists(st.integers(1, 3), min_size=len(picks),
+                                           max_size=len(picks))))
+        mass = [{} for _ in problems]
+        for w, row in zip(weights, picks):
+            for m, ks, pick in zip(mass, keys, row):
+                m[ks[pick]] = m.get(ks[pick], 0) + Fraction(w)
+    tree = {
+        "universe": list(labels),
+        "problems": [list(p) for p in problems],
+        "probabilities": [{k: str(v) for k, v in m.items() if v} for m in mass],
+        "types": types,
+        "set_valued": True,
+    }
+    return tree, data
+
+
+@settings(max_examples=150, deadline=None)
+@given(set_valued_instances())
+def test_mass_no_type_picks_is_refuted_without_an_lp(case):
+    tree, data = case
+    instance = parse_instance(json.dumps(tree))
+    pi, type_set, lifted = instance.pi, instance.type_set, instance.lifted
+    picked = {c for t in type_set.types for c in t.chosen}
+    unpicked = [c for c, v in enumerate(pi.values) if v and c not in picked]
+    solve, calls = membership.solve_equality_feasibility, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            membership, "solve_equality_feasibility",
+            lambda *args: calls.append(args) or solve(*args),
+        )
+        report = run_check(instance)
+    rationalizable = report.outcome.rationalizable
+    assert rationalizable == full_row_verdict(pi, type_set)
+    if data == "planted":
+        assert rationalizable
+    if unpicked:
+        # The first coordinate with mass that no type picks: its unit vector
+        # separates with gap its mass, and the one trial asks for it.
+        c = unpicked[0]
+        assert calls == []
+        certificate = report.outcome.certificate
+        assert certificate.separating.direction == tuple(int(i == c) for i in range(len(pi.values)))
+        assert certificate.separating.gap == pi.values[c]
+        assert certificate.trials.trials == (Trial(pi.layout.block_of(c), (c,)),)
+    assert run_verify(instance, report.to_structured()) == (True, [])
+    restricted = run_check(instance, restricted=True)
+    empty = [lifted.coordinate_for_subset(j, ()) for j in range(pi.layout.problem_count)]
+    unpicked_empty = [c for c in empty if c in unpicked]
+    if unpicked_empty:
+        c = unpicked_empty[0]
+        trial = Trial(pi.layout.block_of(c), (c,))
+        assert restricted.restricted.trials == ((trial, 1),)
+    assert run_verify(instance, restricted.to_structured()) == (True, [])
