@@ -103,15 +103,15 @@ class OrderTypes:
     order that ranks that class first picks it.
     """
 
-    def __init__(self, layout: IndexLayout | LiftedLayout, ties: bool = False):
+    def __init__(self, layout: IndexLayout, ties: bool = False):
+        self.layout = layout
         if isinstance(layout, LiftedLayout):
-            self.layout, subsets = layout.layout, layout.subsets
-            base_problems, self._size = layout.base_problems, layout.base_universe.size
+            subsets, base_problems = layout.subsets, layout.base_problems
+            self._size = layout.base_universe.size
         elif ties:
             raise ValidationError("weak-order types need a power-set lifted layout")
         else:
-            self.layout, subsets = layout, None
-            base_problems, self._size = layout.problems, layout.universe.size
+            subsets, base_problems, self._size = None, layout.problems, layout.universe.size
         self.ties = ties
         self._masks = [_mask(p.members) for p in base_problems]
         # Per problem: the coordinate picked for each maximizer set, keyed by

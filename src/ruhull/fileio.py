@@ -118,15 +118,12 @@ class Instance:
     """A parsed, validated instance with its effective layout and type set.
 
     For set-valued instances the effective data and types live on the lifted
-    layout; otherwise on the base layout. ``types`` is "linear-orders",
-    "weak-orders" or the explicit type set; a keyword's types are enumerated
-    on the first use of ``type_set``. ``digest`` is a sha256 over the
-    canonicalized instance tree.
+    layout (``pi.layout`` is a ``LiftedLayout``); otherwise on the base
+    layout. ``types`` is "linear-orders", "weak-orders" or the explicit type
+    set; a keyword's types are enumerated on the first use of ``type_set``.
+    ``digest`` is a sha256 over the canonicalized instance tree.
     """
 
-    universe: ChoiceUniverse
-    problems: tuple[ChoiceProblem, ...]
-    lifted: LiftedLayout | None
     pi: StochasticChoiceVector
     types: str | RationalTypeSet
     digest: str
@@ -136,19 +133,18 @@ class Instance:
         """The admissible types on the effective layout."""
         if isinstance(self.types, RationalTypeSet):
             return self.types
-        lifted = self.lifted
-        if lifted is None:
+        if not self.set_valued:
             return types_from_linear_orders(self.layout)
         build = (
             correspondence_types_from_linear_orders
             if self.types == "linear-orders"
             else correspondence_types_from_weak_orders
         )
-        return build(lifted)
+        return build(self.layout)
 
     @property
     def set_valued(self) -> bool:
-        return self.lifted is not None
+        return isinstance(self.pi.layout, LiftedLayout)
 
     @property
     def layout(self) -> IndexLayout:
@@ -243,16 +239,14 @@ def parse_instance_dict(obj: Any, source: str = "instance") -> Instance:
 
     raw_probs, where = obj["probabilities"], f"{source}.probabilities"
     if set_valued:
-        lifted = lift_layout(universe, problems)
-        pi, probs_canon = _parse_set_valued(raw_probs, where, lifted)
+        pi, probs_canon = _parse_set_valued(raw_probs, where, lift_layout(universe, problems))
     else:
-        lifted = None
         pi, probs_canon = _parse_singleton(raw_probs, where, build_layout(universe, problems))
-    types_canon, types = _parse_types(obj["types"], f"{source}.types", pi.layout, lifted)
+    types_canon, types = _parse_types(obj["types"], f"{source}.types", pi.layout)
     digest = _digest(
         _canonical_tree(universe, problems, set_valued, probs_canon, types_canon)
     )
-    return Instance(universe, problems, lifted, pi, types, digest)
+    return Instance(pi, types, digest)
 
 
 def _parse_singleton(
@@ -287,7 +281,7 @@ def _parse_set_valued(
     count = len(lifted.base_problems)
     if not isinstance(raw_probs, list) or len(raw_probs) != count:
         raise InstanceParseError(f"expected one subset map per problem ({count})", location)
-    values = [Fraction(0)] * lifted.layout.coordinate_count
+    values = [Fraction(0)] * lifted.coordinate_count
     given: set[int] = set()
     canon: list[dict[str, str]] = []
     for j, mapping in enumerate(raw_probs):
@@ -312,22 +306,23 @@ def _parse_set_valued(
                 canon_row[",".join(labels[i] for i in subsets[coord])] = str(value)
         canon.append(dict(sorted(canon_row.items())))
     try:
-        return validate_pi(values, lifted.layout), canon
+        return validate_pi(values, lifted), canon
     except ValidationError as exc:
         raise InstanceParseError(str(exc), location)
 
 
 def _parse_types(
-    raw: Any, location: str, layout: IndexLayout, lifted: LiftedLayout | None
+    raw: Any, location: str, layout: IndexLayout
 ) -> tuple[Any, str | RationalTypeSet]:
     """(canonical tree, ``Instance.types``); a keyword is checked against its
     enumeration cap here and enumerated only when ``type_set`` is first used."""
-    size = layout.universe.size if lifted is None else lifted.base_universe.size
+    lifted = isinstance(layout, LiftedLayout)
+    size = (layout.base_universe if lifted else layout.universe).size
     if raw == "linear-orders":
         check_linear_order_cap(size)
         return raw, raw
     if raw == "weak-orders":
-        if lifted is None:
+        if not lifted:
             raise InstanceParseError(
                 '"weak-orders" types require a set-valued instance', location
             )
@@ -360,31 +355,29 @@ def load_instance(path: str) -> Instance:
         return parse_instance(fh.read(), source=path)
 
 
-def lifted_view(instance: Instance) -> tuple[LiftedLayout, StochasticChoiceVector, RationalTypeSet]:
+def lifted_view(instance: Instance) -> tuple[StochasticChoiceVector, RationalTypeSet]:
     """The instance re-expressed on the lifted layout (identity if set-valued)."""
-    lifted, pi, types = _view(instance, True)
-    return lifted, pi, types.types() if isinstance(types, OrderTypes) else types
+    pi, types = _view(instance, True)
+    return pi, types.types() if isinstance(types, OrderTypes) else types
 
 
-def _view(
-    instance: Instance, lifted: bool
-) -> tuple[LiftedLayout | None, StochasticChoiceVector, TypeFamily]:
-    """The instance's lifted layout (None on the base layout), data and types.
+def _view(instance: Instance, lifted: bool) -> tuple[StochasticChoiceVector, TypeFamily]:
+    """The instance's data and types, on the lifted layout if ``lifted``.
 
-    ``lifted`` asks for the lifted layout: set-valued data is already on it
-    and singleton data is carried onto its singletons. Linear and weak orders
-    are an ``OrderTypes`` engine, which lists nothing; explicit rows are
-    their listed set.
+    Set-valued data is already on the lifted layout and singleton data is
+    carried onto its singletons. Linear and weak orders are an
+    ``OrderTypes`` engine, which lists nothing; explicit rows are their
+    listed set.
     """
-    layout, pi, types = instance.lifted, instance.pi, instance.types
-    if lifted and layout is None:
-        layout = lift_layout(instance.universe, instance.problems)
+    pi, types = instance.pi, instance.types
+    if lifted and not instance.set_valued:
+        layout = lift_layout(pi.layout.universe, pi.layout.problems)
         pi = singleton_choice_data(pi, layout)
         if not isinstance(types, str):
             types = singleton_types(types, layout)
     if isinstance(types, str):
-        types = OrderTypes(layout or pi.layout, ties=types == "weak-orders")
-    return layout, pi, types
+        types = OrderTypes(pi.layout, ties=types == "weak-orders")
+    return pi, types
 
 
 @dataclass(frozen=True)
@@ -523,20 +516,18 @@ def run_check(
     """
     if mode != "compressed":
         raise ValidationError(f"unknown decomposition mode {mode!r}")
-    lifted, pi, family = _view(instance, False)
+    pi, family = _view(instance, False)
     outcome = decide(pi, family)
     axiom = None
     if restricted:
         axiom = _restricted_from_verdict(instance, outcome.rationalizable)
-        if lifted is None:
+        if not instance.set_valued:
             # Singleton data: every type picks a singleton, so the base
             # decision carries across to the lifted layout.
-            lifted, pi, family = _view(instance, True)
-            outcome = singleton_outcome(outcome, pi, family, lifted)
+            pi, family = _view(instance, True)
+            outcome = singleton_outcome(outcome, pi, family)
         elif axiom is None:
-            axiom = empty_set_trial(pi, family, lifted) or check_restricted_arsp(
-                pi, family, lifted
-            )
+            axiom = empty_set_trial(pi, family) or check_restricted_arsp(pi, family)
     return ResultReport(
         instance=instance,
         layout=pi.layout,
@@ -554,7 +545,7 @@ def _restricted_from_verdict(instance: Instance, rationalizable: bool) -> Restri
     axiom is the full one. Only set-valued data that fails the full axiom
     needs the restricted LP and its own witness.
     """
-    if rationalizable or instance.lifted is None:
+    if rationalizable or not instance.set_valued:
         return RestrictedArsp(rationalizable)
     return None
 
@@ -596,7 +587,7 @@ def run_verify(instance: Instance, report: Any) -> tuple[bool, list[str]]:
         needs = "set-valued data" if instance.set_valued else "the restricted axiom"
         return False, [f"the report is not on the lifted layout, which {needs} needs"]
     try:
-        lifted, pi, types = _view(instance, lifted_used)
+        pi, types = _view(instance, lifted_used)
     except (CapExceeded, ValidationError) as exc:
         return False, [f"the report claims a lifted layout: {exc}"]
 
@@ -607,21 +598,41 @@ def run_verify(instance: Instance, report: Any) -> tuple[bool, list[str]]:
         failures = _verify_certificate(report.get("certificate"), pi, types)
     else:
         return False, [f"unknown verdict {_show(verdict, repr)}"]
+    used = "mixture" if verdict == "rationalizable" else "certificate"
+    failures += _unused_witnesses(report, ("mixture", "certificate"), used, f"a {verdict} report")
 
     if restricted:
         claim = report["restricted_arsp"]
         if not isinstance(claim, dict) or not isinstance(claim.get("holds"), bool):
             failures.append("restricted-axiom claim is not {\"holds\": true|false, ...}")
         else:
+            holds = claim["holds"]
             by_verdict = _restricted_from_verdict(instance, verdict == "rationalizable")
             if by_verdict is None:
-                failures += _verify_restricted_witness(claim, pi, types, lifted)
-            elif by_verdict.holds != claim["holds"]:
-                failures.append(
-                    f"the verdict makes the restricted axiom hold={by_verdict.holds}, "
-                    f"report claims {claim['holds']}"
-                )
+                failures += _verify_restricted_witness(claim, pi, types)
+                used = "mixture" if holds else "trials"
+                owner = f"a restricted-axiom claim that the axiom {'holds' if holds else 'fails'}"
+            else:
+                used, owner = None, "a restricted-axiom claim the full verdict decides"
+                if by_verdict.holds != holds:
+                    failures.append(
+                        f"the verdict makes the restricted axiom hold={by_verdict.holds}, "
+                        f"report claims {holds}"
+                    )
+            failures += _unused_witnesses(claim, ("mixture", "trials"), used, owner)
     return not failures, failures
+
+
+def _unused_witnesses(
+    tree: dict, fields: tuple[str, ...], used: str | None, owner: str
+) -> list[str]:
+    """A failure for each witness field of ``tree`` other than ``used``: a
+    witness that nothing checks must not pass as checked."""
+    return [
+        f"{owner} carries {field!r}, a witness it does not use"
+        for field in fields
+        if field != used and field in tree
+    ]
 
 
 def _ints(value: Any) -> tuple[int, ...]:
@@ -700,7 +711,7 @@ def _report_trial(item: Any, layout: IndexLayout) -> tuple[int, list[int]]:
 
 
 def _verify_restricted_witness(
-    claim: dict, pi: StochasticChoiceVector, types: TypeFamily, lifted: LiftedLayout
+    claim: dict, pi: StochasticChoiceVector, types: TypeFamily
 ) -> list[str]:
     """Check the witness of a restricted-axiom claim on set-valued data that
     fails the full axiom: a dominating mixture if it holds, a violating
@@ -714,7 +725,7 @@ def _verify_restricted_witness(
         combined, failures = _mixture_total(weights, pi.layout, types, "restricted mixture")
         # The mixture's excess over the data, scaled to integers.
         excess = primitive_integers([m - p for m, p in zip(combined, pi.values)])
-        for t in restricted_trials(lifted):
+        for t in restricted_trials(pi.layout):
             if sum(map(excess.__getitem__, t.coordinates)) < 0:
                 labels = ",".join(map(pi.layout.coordinate_labels.__getitem__, t.coordinates))
                 failures.append(
@@ -733,7 +744,7 @@ def _verify_restricted_witness(
             _, coords = _report_trial(item, pi.layout)
             # Distinct subsets of the union of the queried subsets, all in one
             # block: they are all of its subsets iff there are 2^|union|.
-            union = set().union(*map(lifted.coordinate_subsets.__getitem__, coords))
+            union = set().union(*map(pi.layout.coordinate_subsets.__getitem__, coords))
             if len(coords) != 1 << len(union):
                 raise ValueError("does not query all the subsets of one set")
             count = item.get("count")
@@ -829,8 +840,8 @@ def _verify_certificate(cert: Any, pi: StochasticChoiceVector, types: TypeFamily
 
 def lifted_instance_tree(instance: Instance) -> dict:
     """The lifted instance as a plain (singleton-choice) instance tree."""
-    lifted, pi, type_set = lifted_view(instance)
-    layout = lifted.layout
+    pi, type_set = lifted_view(instance)
+    layout = pi.layout
     probabilities = [
         [str(pi.values[i]) for i in layout.block_range(j)]
         for j in range(layout.problem_count)

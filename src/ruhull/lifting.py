@@ -3,7 +3,10 @@
 A set-valued observation on a problem is a single choice from the problem's
 power set. Lifting replaces the universe by all subsets of the base universe
 and each problem by the set of its subsets (the empty set included in both),
-after which the ordinary membership machinery applies unchanged. Whether
+after which the ordinary membership machinery applies unchanged: a
+``LiftedLayout`` is an ``IndexLayout`` over those, which also keeps the base
+universe and problems, so lifted data and types carry it as their layout and
+every function here reads it from them. Whether
 empty or non-singleton choices are admissible is a property of the supplied
 type set, never of the layout. Singleton choice is the special case where
 every observation and every type picks a singleton:
@@ -61,22 +64,25 @@ def _subset_label(universe: ChoiceUniverse, subset: tuple[int, ...]) -> str:
 
 
 @dataclass(frozen=True)
-class LiftedLayout:
-    """Coordinate layout over the power-set universe of a base instance."""
+class LiftedLayout(IndexLayout):
+    """The layout over the power-set universe of a base instance.
+
+    Its own universe, problems and block offsets are the lifted ones: every
+    subset of the base universe, and each base problem's subsets.
+    """
 
     base_universe: ChoiceUniverse
     base_problems: tuple[ChoiceProblem, ...]
     subsets: tuple[tuple[int, ...], ...]  # lifted alternative -> base index tuple
-    layout: IndexLayout
 
     @cached_property
     def coordinate_subsets(self) -> tuple[tuple[int, ...], ...]:
         """The base subset each lifted coordinate stands for."""
-        return tuple(self.subsets[m] for p in self.layout.problems for m in p.members)
+        return tuple(self.subsets[m] for p in self.problems for m in p.members)
 
     @cached_property
     def _subset_coordinates(self) -> dict[tuple[int, tuple[int, ...]], int]:
-        pairs = zip(self.layout.coordinate_blocks, self.coordinate_subsets)
+        pairs = zip(self.coordinate_blocks, self.coordinate_subsets)
         return {pair: c for c, pair in enumerate(pairs)}
 
     @cached_property
@@ -119,7 +125,7 @@ class LiftedLayout:
 
     def block_subsets(self, problem_index: int) -> tuple[tuple[int, ...], ...]:
         """Subsets of one base problem, in block coordinate order."""
-        block = self.layout.block_range(problem_index)
+        block = self.block_range(problem_index)
         return self.coordinate_subsets[block.start : block.stop]
 
 
@@ -162,15 +168,22 @@ def lift_layout(universe: ChoiceUniverse, problems: Sequence[ChoiceProblem]) -> 
         tuple(_subset_label(universe, s) for s in all_subsets)
     )
 
+    # Each problem lists its own 2^|P| subsets: testing every subset of the
+    # universe against each problem would cost problems x 2^n.
     lifted_problems = []
     for problem in problems:
-        members = sorted(
-            position[s] for s in all_subsets if set(s) <= set(problem.members)
+        members = problem.members
+        own = (
+            tuple(m for i, m in enumerate(members) if mask >> i & 1)
+            for mask in range(1 << len(members))
         )
-        lifted_problems.append(ChoiceProblem(tuple(members)))
+        lifted_problems.append(ChoiceProblem(tuple(sorted(map(position.__getitem__, own)))))
 
-    layout = build_layout(lifted_universe, lifted_problems)
-    return LiftedLayout(universe, tuple(problems), tuple(all_subsets), layout)
+    offsets = build_layout(lifted_universe, lifted_problems).block_offsets
+    return LiftedLayout(
+        lifted_universe, tuple(lifted_problems), offsets,
+        universe, tuple(problems), tuple(all_subsets),
+    )
 
 
 def lift_set_valued_data(
@@ -188,12 +201,12 @@ def lift_set_valued_data(
             f"expected {len(lifted.base_problems)} observation maps, "
             f"got {len(observations)}"
         )
-    values = [Fraction(0)] * lifted.layout.coordinate_count
+    values = [Fraction(0)] * lifted.coordinate_count
     for j, obs in enumerate(observations):
         for key, prob in obs.items():
             coord = lifted.coordinate_for_labels(j, (key,) if isinstance(key, str) else key)
             values[coord] += to_rational(prob, where=f"probability in problem {j}")
-    return validate_pi(values, lifted.layout)
+    return validate_pi(values, lifted)
 
 
 def singleton_choice_data(
@@ -202,10 +215,10 @@ def singleton_choice_data(
     """Re-express ordinary singleton choice data on the lifted layout."""
     if pi.layout != lifted.base_layout:
         raise LayoutMismatch("choice data does not match the lifted layout's base")
-    values = [Fraction(0)] * lifted.layout.coordinate_count
+    values = [Fraction(0)] * lifted.coordinate_count
     for value, coord in zip(pi.values, lifted.singleton_coordinates):
         values[coord] = value
-    return validate_pi(values, lifted.layout)
+    return validate_pi(values, lifted)
 
 
 def singleton_types(type_set: RationalTypeSet, lifted: LiftedLayout) -> RationalTypeSet:
@@ -217,14 +230,11 @@ def singleton_types(type_set: RationalTypeSet, lifted: LiftedLayout) -> Rational
         ChoiceTypeVector(tuple(lifted_coordinate[c] for c in t.chosen))
         for t in type_set.types
     )
-    return make_type_set(types, lifted.layout)
+    return make_type_set(types, lifted)
 
 
 def singleton_outcome(
-    outcome: CheckOutcome,
-    pi: StochasticChoiceVector,
-    types: TypeFamily,
-    lifted: LiftedLayout,
+    outcome: CheckOutcome, pi: StochasticChoiceVector, types: TypeFamily
 ) -> CheckOutcome:
     """Carry a decision on the base layout onto the lifted layout's singletons.
 
@@ -235,15 +245,16 @@ def singleton_outcome(
     a singleton, so the gap stays as it is, and singletons keep the base
     order inside each block, so the trials are the mapped ones.
     """
+    lifted = pi.layout
     to = lifted.singleton_coordinates
     if outcome.mixture is not None:
         weights = tuple(
             (ChoiceTypeVector(tuple(map(to.__getitem__, t.chosen))), w)
             for t, w in outcome.mixture.weights
         )
-        return CheckOutcome(MixingDistribution(lifted.layout, weights), None)
+        return CheckOutcome(MixingDistribution(lifted, weights), None)
     separating = outcome.certificate.separating
-    direction = [0] * lifted.layout.coordinate_count
+    direction = [0] * lifted.coordinate_count
     for c, v in zip(to, separating.direction):
         direction[c] = v
     lifted_separating = SeparatingVector(tuple(direction), separating.gap)
@@ -258,8 +269,8 @@ def restricted_trials(lifted: LiftedLayout) -> tuple[Trial, ...]:
     restricted axiom may use.
     """
     out = []
-    for j in range(lifted.layout.problem_count):
-        block_start = lifted.layout.block_offsets[j]
+    for j in range(lifted.problem_count):
+        block_start = lifted.block_offsets[j]
         subsets = lifted.block_subsets(j)
         for s in subsets:
             s_set = set(s)
@@ -293,9 +304,7 @@ class RestrictedArsp:
     trials: tuple[tuple[Trial, int], ...] = ()
 
 
-def empty_set_trial(
-    pi: StochasticChoiceVector, types: TypeFamily, lifted: LiftedLayout
-) -> RestrictedArsp | None:
+def empty_set_trial(pi: StochasticChoiceVector, types: TypeFamily) -> RestrictedArsp | None:
     """The one-trial violation "the choice from B is a subset of the empty set".
 
     That query marks only B's empty-set coordinate. When that coordinate is
@@ -304,18 +313,14 @@ def empty_set_trial(
     mass is reported. None when there is none. Lists no types and solves no
     LP.
     """
-    for j in range(lifted.layout.problem_count):
-        c = lifted.coordinate_for_subset(j, ())
+    for j in range(pi.layout.problem_count):
+        c = pi.layout.coordinate_for_subset(j, ())
         if pi.values[c] and c not in types.pickable:
             return RestrictedArsp(False, trials=((Trial(j, (c,)), 1),))
     return None
 
 
-def check_restricted_arsp(
-    pi: StochasticChoiceVector,
-    types: TypeFamily,
-    lifted: LiftedLayout,
-) -> RestrictedArsp:
+def check_restricted_arsp(pi: StochasticChoiceVector, types: TypeFamily) -> RestrictedArsp:
     """Decide the axiom quantified over the restricted trial family only.
 
     By Ville's theorem it holds iff some mixture mu of the types dominates
@@ -331,9 +336,9 @@ def check_restricted_arsp(
     sum_s y_s (T_s . pi) > max over R of sum_s y_s (T_s . R): y, scaled to
     integers, is a violating multiset of restricted trials.
     """
-    if pi.layout != lifted.layout or types.layout != lifted.layout:
-        raise LayoutMismatch("data, types and lifted layout must agree")
-    queries = [t for t in restricted_trials(lifted) if _binds(t, pi, lifted)]
+    if types.layout != pi.layout or not isinstance(pi.layout, LiftedLayout):
+        raise LayoutMismatch("data and types must share one lifted layout")
+    queries = [t for t in restricted_trials(pi.layout) if _binds(t, pi)]
     rhs = [inner(t, pi) for t in queries] + [1]
     oracle = TypeColumns(types, [t.coordinates for t in queries], surplus=True)
     result = solve_equality_feasibility(oracle, rhs)
@@ -343,7 +348,7 @@ def check_restricted_arsp(
     return RestrictedArsp(False, trials=tuple((t, k) for t, k in zip(queries, counts) if k))
 
 
-def _binds(query: Trial, pi: StochasticChoiceVector, lifted: LiftedLayout) -> bool:
+def _binds(query: Trial, pi: StochasticChoiceVector) -> bool:
     """Whether the query "the choice from B is a subset of S" needs a row.
 
     It does iff S is not B, the data gives the query mass, and every member
@@ -352,9 +357,9 @@ def _binds(query: Trial, pi: StochasticChoiceVector, lifted: LiftedLayout) -> bo
     S lies in no such A, pi(within S) = pi(within S - x) <= mu(within S - x)
     <= mu(within S), so the smaller query's row implies this one.
     """
-    coords = query.coordinates
-    if len(coords) == len(lifted.layout.block_range(query.block)):
+    coords, subsets = query.coordinates, pi.layout.coordinate_subsets
+    if len(coords) == len(pi.layout.block_range(query.block)):
         return False
-    supported = [lifted.coordinate_subsets[c] for c in coords if pi.values[c]]
-    whole = lifted.coordinate_subsets[coords[-1]]
+    supported = [subsets[c] for c in coords if pi.values[c]]
+    whole = subsets[coords[-1]]
     return bool(supported) and len(set().union(*supported)) == len(whole)

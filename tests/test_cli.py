@@ -280,11 +280,6 @@ class TestDeterminism:
 
 UNNORMALIZED = pathlib.Path(__file__).resolve().parent / "fixtures" / "unnormalized_reports"
 BARE_CLAIMS = pathlib.Path(__file__).resolve().parent / "fixtures" / "bare_restricted_claims"
-CANONICAL = pathlib.Path(__file__).resolve().parent / "fixtures" / "canonical_reports"
-LIFTED_LAYOUT = pathlib.Path(__file__).resolve().parent / "fixtures" / "lifted_layout_reports"
-LISTED_RESTRICTED = pathlib.Path(__file__).resolve().parent / "fixtures" / "listed_restricted_reports"
-UNPRESOLVED = pathlib.Path(__file__).resolve().parent / "fixtures" / "unpresolved_reports"
-LP_SEPARATOR = pathlib.Path(__file__).resolve().parent / "fixtures" / "lp_separator_reports"
 # A restricted-axiom claim on set-valued data that fails the full axiom must
 # carry its witness: a bare {"holds": true} could only be checked by solving
 # the restricted LP, which verify does not do.
@@ -334,80 +329,57 @@ def test_bare_restricted_claims_are_rejected(report_path, capsys):
     _verify_exits(instance_path, report_path, capsys, [BARE_CLAIM_FAILURE])
 
 
+# Reports check wrote before a change to its output, kept because they must
+# still verify, in both formats. Each directory tests/fixtures/<name>_reports
+# has one entry here: what its reports have that today's do not.
+KEPT_REPORTS = {
+    # Written when check could decompose a certificate into one
+    # single-coordinate trial per unit of the aggregate; verify checks the
+    # trials only through their aggregate.
+    "canonical": lambda report, instance: report["flags"]["mode"] == "canonical",
+    # --restricted-arsp reports on singleton data written when check decided
+    # them by the membership LP on the lifted layout; check now decides on
+    # the base layout and maps the outcome across.
+    "lifted_layout": lambda report, instance: (
+        report["lifted"] and report["flags"]["restricted_arsp"] and not instance.set_valued
+    ),
+    # --restricted-arsp reports on set-valued data written when the
+    # restricted LP kept a row per listed type; its mixtures now come from
+    # the dominating-mixture LP.
+    "listed_restricted": lambda report, instance: (
+        report["lifted"] and report["restricted_arsp"]["mixture"]["weights"]
+        and instance.set_valued
+    ),
+    # Written before the membership LP priced the types that avoid the
+    # data's zeros first: their mixtures and separators came from pricing
+    # every type on every pivot.
+    "unpresolved": lambda report, instance: True,
+    # Written when the membership LP decided set-valued data with mass on a
+    # set no type picks: their certificates peel the LP's separator into
+    # many trials, where check now reports the one trial "the choice is
+    # that set".
+    "lp_separator": lambda report, instance: len(report["certificate"]["trials"]) > 1,
+}
+KEPT_REPORT_PATHS = sorted(
+    (pathlib.Path(__file__).resolve().parent / "fixtures").glob("*_reports/*.out")
+)
+
+
 @pytest.mark.parametrize(
-    "report_path", sorted(CANONICAL.glob("*.out")), ids=lambda p: p.stem
+    "report_path", KEPT_REPORT_PATHS, ids=lambda p: f"{p.parent.name}/{p.stem}"
 )
 @pytest.mark.parametrize("fmt", ["text", "structured"])
-def test_canonical_reports_still_verify(report_path, fmt, capsys):
-    # Structured reports written when check could decompose a certificate into
-    # one single-coordinate trial per unit of the aggregate; verify checks the
-    # trials only through their aggregate, so they still verify.
-    assert json.loads(report_path.read_text())["flags"]["mode"] == "canonical"
-    instance_path = SAMPLES / f"{report_path.name.split('.')[0]}.json"
-    argv = ["verify", str(instance_path), str(report_path), "--format", fmt]
-    assert main(argv) == 0
+def test_kept_reports_still_verify(report_path, fmt, capsys):
+    report = json.loads(report_path.read_text())
+    instance_path = _report_instance(report_path)
+    precondition = KEPT_REPORTS[report_path.parent.name.removesuffix("_reports")]
+    assert precondition(report, load_instance(str(instance_path)))
+    assert main(["verify", str(instance_path), str(report_path), "--format", fmt]) == 0
     out = capsys.readouterr().out
     if fmt == "structured":
         assert json.loads(out)["verified"] is True
     else:
         assert out == "verified: true\n"
-
-
-@pytest.mark.parametrize(
-    "report_path", sorted(LIFTED_LAYOUT.glob("*.out")), ids=lambda p: p.stem
-)
-def test_lifted_layout_reports_still_verify(report_path, capsys):
-    # --restricted-arsp reports on singleton data written when check decided
-    # them by the membership LP on the lifted layout; check now decides on the
-    # base layout and maps the outcome across, so its reports differ.
-    report = json.loads(report_path.read_text())
-    assert report["lifted"] and report["flags"]["restricted_arsp"]
-    instance_path = _report_instance(report_path)
-    assert not load_instance(str(instance_path)).set_valued
-    assert main(["verify", str(instance_path), str(report_path)]) == 0
-    assert capsys.readouterr().out == "verified: true\n"
-
-
-@pytest.mark.parametrize(
-    "report_path", sorted(LISTED_RESTRICTED.glob("*.out")), ids=lambda p: p.stem
-)
-def test_listed_restricted_reports_still_verify(report_path, capsys):
-    # --restricted-arsp reports on set-valued data written when the
-    # restricted LP kept a row per listed type; its mixtures now come from
-    # the dominating-mixture LP, so these reports differ from the goldens.
-    report = json.loads(report_path.read_text())
-    assert report["lifted"] and report["restricted_arsp"]["mixture"]["weights"]
-    instance_path = _report_instance(report_path)
-    assert load_instance(str(instance_path)).set_valued
-    assert main(["verify", str(instance_path), str(report_path)]) == 0
-    assert capsys.readouterr().out == "verified: true\n"
-
-
-@pytest.mark.parametrize(
-    "report_path", sorted(UNPRESOLVED.glob("*.out")), ids=lambda p: p.stem
-)
-def test_unpresolved_reports_still_verify(report_path, capsys):
-    # check reports written before the membership LP priced the types that
-    # avoid the data's zeros first: their mixtures and separators came from
-    # pricing every type on every pivot, so they differ from the goldens.
-    instance_path = _report_instance(report_path)
-    assert main(["verify", str(instance_path), str(report_path)]) == 0
-    assert capsys.readouterr().out == "verified: true\n"
-
-
-@pytest.mark.parametrize(
-    "report_path", sorted(LP_SEPARATOR.glob("*.out")), ids=lambda p: p.stem
-)
-def test_lp_separator_reports_still_verify(report_path, capsys):
-    # check reports written when the membership LP decided set-valued data
-    # with mass on a set no type picks: their certificates peel the LP's
-    # separator into many trials, where check now reports the one trial
-    # "the choice is that set", so they differ from the goldens.
-    report = json.loads(report_path.read_text())
-    assert len(report["certificate"]["trials"]) > 1
-    instance_path = _report_instance(report_path)
-    assert main(["verify", str(instance_path), str(report_path)]) == 0
-    assert capsys.readouterr().out == "verified: true\n"
 
 
 def _report_instance(report_path):

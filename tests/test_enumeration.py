@@ -165,9 +165,9 @@ class TestCorrespondenceTypes:
         lifted = lift_layout(universe, problems)
         ts = correspondence_types_from_linear_orders(lifted)
         for t in ts.types:
-            for j in range(lifted.layout.problem_count):
+            for j in range(lifted.problem_count):
                 subset = lifted.block_subsets(j)[
-                    t.chosen[j] - lifted.layout.block_offsets[j]
+                    t.chosen[j] - lifted.block_offsets[j]
                 ]
                 assert len(subset) == 1
 
@@ -176,9 +176,9 @@ class TestCorrespondenceTypes:
         lifted = lift_layout(universe, problems)
         ts = correspondence_types_from_weak_orders(lifted)
         for t in ts.types:
-            for j in range(lifted.layout.problem_count):
+            for j in range(lifted.problem_count):
                 subset = lifted.block_subsets(j)[
-                    t.chosen[j] - lifted.layout.block_offsets[j]
+                    t.chosen[j] - lifted.block_offsets[j]
                 ]
                 assert subset != ()
 

@@ -407,7 +407,7 @@ class TestLiftedHulls:
         )
         rng = seeded(5150)
         for _ in range(150):
-            pi = random_rational_pi(lifted.layout, rng, max_numerator=3)
+            pi = random_rational_pi(lifted, rng, max_numerator=3)
             by_lp = isinstance(membership.test_membership(pi, ts), MixingDistribution)
             assert by_lp == facet_membership_oracle(pi, h)
 

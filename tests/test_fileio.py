@@ -25,6 +25,11 @@ from ruhull.fileio import lifted_instance_tree
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 CYCLIC_TEXT = (SAMPLES / "cyclic_majority.json").read_text()
+MIXTURE_TEXT = (SAMPLES / "two_point_mixture.json").read_text()
+# Set-valued data the restricted LP finds a dominating mixture for.
+PLANTED_TEXT = (
+    SAMPLES.parent / "tests" / "fixtures" / "five_alternatives_set_valued_planted.json"
+).read_text()
 
 
 def make_text(**overrides):
@@ -322,7 +327,7 @@ class TestSetValuedParse:
             {tuple(key.split(",")) if key else (): Fraction(v) for key, v in m.items()}
             for m in tree["probabilities"]
         ]
-        assert instance.pi == lift_set_valued_data(observations, instance.lifted)
+        assert instance.pi == lift_set_valued_data(observations, instance.layout)
         other = parse_instance(json.dumps(rewritten))
         assert other.pi == instance.pi
         assert other.digest == instance.digest
@@ -731,6 +736,26 @@ VERIFY_FAILURES = [
      lambda report: report.update(restricted_arsp={"holds": False}, flags={
          "mode": "compressed", "restricted_arsp": True}),
      ["the report is not on the lifted layout, which the restricted axiom needs"]),
+    # A witness the verdict does not use is checked by nothing, so it fails.
+    ("mixture-with-certificate", MIXTURE_TEXT,
+     lambda report: report.update(certificate={"separating": "junk"}),
+     ["a rationalizable report carries 'certificate', a witness it does not use"]),
+    ("certificate-with-mixture", CYCLIC_TEXT,
+     lambda report: report.update(mixture={"weights": "junk"}),
+     ["a not-rationalizable report carries 'mixture', a witness it does not use"]),
+    # Malformed values where a mixture entry or a rational belongs.
+    ("mixture-entry-not-an-object", make_text(),
+     lambda report: report["mixture"]["weights"].append(5),
+     ["mixture entry 2: not an object"]),
+    ("mixture-type-malformed", make_text(),
+     lambda report: report["mixture"]["weights"].append({"weight": "1/2", "type": "ab"}),
+     ["mixture entry 2: malformed type"]),
+    ("rational-is-null", CYCLIC_TEXT,
+     lambda report: report["certificate"].update(gap=None),
+     ["malformed certificate: gap: expected a rational string, got NoneType"]),
+    ("rational-is-a-list", CYCLIC_TEXT,
+     lambda report: report["certificate"].update(lhs=["3"]),
+     ["malformed certificate: lhs: expected a rational string, got list"]),
 ]
 
 
@@ -852,15 +877,29 @@ RESTRICTED_FAILURES = [
      lambda report: report["restricted_arsp"].update(
          holds=True, trials=[{"problem": 1, "coordinates": [1], "count": 1}]
      ) or report["restricted_arsp"].pop("mixture"),
-     ["restricted axiom claimed to hold without a mixture witness"]),
+     ["restricted axiom claimed to hold without a mixture witness",
+      "a restricted-axiom claim that the axiom holds carries 'trials', "
+      "a witness it does not use"]),
     ("bare-holds-claim", RESTRICTED_HOLDS_TEXT, _without("mixture"),
      ["restricted axiom claimed to hold without a mixture witness"]),
     ("fails-with-mixture", RESTRICTED_HOLDS_TEXT, _restricted(holds=False),
-     ["restricted axiom claimed to fail without a trial witness"]),
+     ["restricted axiom claimed to fail without a trial witness",
+      "a restricted-axiom claim that the axiom fails carries 'mixture', "
+      "a witness it does not use"]),
     ("bare-fails-claim", RESTRICTED_FAILS_TEXT, _without("trials"),
      ["restricted axiom claimed to fail without a trial witness"]),
     ("holds-contradicts-trials", RESTRICTED_FAILS_TEXT, _restricted(holds=True),
-     ["restricted axiom claimed to hold without a mixture witness"]),
+     ["restricted axiom claimed to hold without a mixture witness",
+      "a restricted-axiom claim that the axiom holds carries 'trials', "
+      "a witness it does not use"]),
+    # A witness the claim does not use is checked by nothing, so it fails,
+    # junk or not.
+    ("planted-holds-with-trials", PLANTED_TEXT, _restricted(trials="junk"),
+     ["a restricted-axiom claim that the axiom holds carries 'trials', "
+      "a witness it does not use"]),
+    ("verdict-claim-with-trials", CYCLIC_TEXT, _restricted_trials(([1], 1)),
+     ["a restricted-axiom claim the full verdict decides carries 'trials', "
+      "a witness it does not use"]),
     ("not-all-subsets", RESTRICTED_FAILS_TEXT, _restricted_trials(([1, 4], 1)),
      ["restricted trial 0: does not query all the subsets of one set"]),
     ("misses-the-empty-set", RESTRICTED_FAILS_TEXT, _restricted_trials(([2, 3, 4], 1)),

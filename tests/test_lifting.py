@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from ruhull import (
     CapExceeded,
     ChoiceTypeVector,
+    IndexLayout,
     LayoutMismatch,
     MixingDistribution,
     SeparatingVector,
     ValidationError,
+    build_layout,
     check_restricted_arsp,
     correspondence_types_from_linear_orders,
     correspondence_types_from_weak_orders,
@@ -44,26 +46,26 @@ def pair_lift():
 class TestLiftLayout:
     def test_single_pair(self, pair_lift):
         universe, problems, lifted = pair_lift
-        assert lifted.layout.universe.labels == ("{}", "{a}", "{b}", "{a,b}")
-        assert lifted.layout.coordinate_count == 4
+        assert lifted.universe.labels == ("{}", "{a}", "{b}", "{a,b}")
+        assert lifted.coordinate_count == 4
         assert lifted.block_subsets(0) == ((), (0,), (1,), (0, 1))
 
     def test_two_problems(self):
         universe, problems, _ = make_instance("abc", [("a", "b"), ("b", "c")])
         lifted = lift_layout(universe, problems)
-        assert lifted.layout.coordinate_count == 8
-        assert lifted.layout.problem_count == 2
+        assert lifted.coordinate_count == 8
+        assert lifted.problem_count == 2
 
     def test_singleton(self):
         universe, problems, _ = make_instance("a", [("a",)])
         lifted = lift_layout(universe, problems)
-        assert lifted.layout.coordinate_count == 2
+        assert lifted.coordinate_count == 2
         assert lifted.block_subsets(0) == ((), (0,))
 
     def test_empty_set_is_everywhere(self):
         universe, problems, _ = make_instance("abc", [("a", "b"), ("c",)])
         lifted = lift_layout(universe, problems)
-        for j in range(lifted.layout.problem_count):
+        for j in range(lifted.problem_count):
             assert () in lifted.block_subsets(j)
 
     def test_cap_reports_would_be_size(self):
@@ -72,6 +74,29 @@ class TestLiftLayout:
         universe, problems, _ = make_instance(labels, [tuple(labels)])
         with pytest.raises(CapExceeded, match="131072 coordinates, above the cap of 65536"):
             lift_layout(universe, problems)
+
+    def test_lifted_layout_is_an_index_layout(self, pair_lift):
+        universe, problems, lifted = pair_lift
+        assert isinstance(lifted, IndexLayout) and not hasattr(lifted, "layout")
+        assert lifted.base_layout == build_layout(universe, problems)
+        pi = lift_set_valued_data([{("a",): 1}], lifted)
+        assert pi.layout is lifted
+
+    def test_small_problems_in_a_large_universe(self):
+        # Each block lists exactly its problem's subsets, in the universe's
+        # subset order, however few of the universe's 4096 subsets they are.
+        rng = seeded(31)
+        labels = [f"x{k}" for k in range(12)]
+        problems = [
+            tuple(sorted(rng.sample(labels, rng.randrange(1, 4)))) for _ in range(40)
+        ]
+        universe, base, _ = make_instance(labels, problems)
+        lifted = lift_layout(universe, base)
+        assert lifted.universe.size == 1 << 12
+        for j, problem in enumerate(base):
+            expected = tuple(s for s in lifted.subsets if set(s) <= set(problem.members))
+            assert len(expected) == 1 << problem.size
+            assert lifted.block_subsets(j) == expected
 
     def test_subset_order_is_cardinality_then_position(self):
         universe, problems, _ = make_instance("abc", [("a", "b", "c")])
@@ -132,8 +157,8 @@ class TestLiftData:
             singleton_choice_data(validate_pi([1, 0, 0], other), lifted)
         base = validate_pi([1, 0], lifted.base_layout)
         types = correspondence_types_from_linear_orders(lifted)
-        with pytest.raises(LayoutMismatch, match="must agree"):
-            check_restricted_arsp(base, types, lifted)
+        with pytest.raises(LayoutMismatch, match="one lifted layout"):
+            check_restricted_arsp(base, types)
 
     def test_singleton_data_reexpression(self):
         universe, problems, layout = make_instance("ab", [("a", "b")])
@@ -170,7 +195,7 @@ class TestRestrictedAxiomGap:
         universe, problems, lifted = pair_lift
         ts = correspondence_types_from_linear_orders(lifted)
         pi = lift_set_valued_data([{("a", "b"): 1}], lifted)
-        assert check_restricted_arsp(pi, ts, lifted).holds is True
+        assert check_restricted_arsp(pi, ts).holds is True
         result = membership.test_membership(pi, ts)
         assert isinstance(result, SeparatingVector)
 
@@ -181,7 +206,7 @@ class TestRestrictedAxiomGap:
             [{("a",): Fraction(1, 4), ("a", "b"): Fraction(3, 4)}], lifted
         )
         assert isinstance(membership.test_membership(pi, ts), MixingDistribution)
-        assert check_restricted_arsp(pi, ts, lifted).holds is True
+        assert check_restricted_arsp(pi, ts).holds is True
 
     def test_empty_choice_needs_empty_friendly_types(self, pair_lift):
         universe, problems, lifted = pair_lift
@@ -197,9 +222,9 @@ class TestRestrictedAxiomGap:
         universe, problems, _ = random_small_instance(rng, max_universe=3, max_problems=2)
         lifted = lift_layout(universe, problems)
         ts = correspondence_types_from_weak_orders(lifted)
-        pi = random_rational_pi(lifted.layout, rng, max_numerator=3)
+        pi = random_rational_pi(lifted, rng, max_numerator=3)
         if isinstance(membership.test_membership(pi, ts), MixingDistribution):
-            assert check_restricted_arsp(pi, ts, lifted).holds is True
+            assert check_restricted_arsp(pi, ts).holds is True
 
 
 class TestSingletonRecovery:
@@ -228,7 +253,7 @@ class TestSingletonRecovery:
             membership.test_membership(lifted_pi, lifted_ts), MixingDistribution
         )
         assert base_verdict == lifted_verdict
-        assert check_restricted_arsp(lifted_pi, lifted_ts, lifted).holds == base_verdict
+        assert check_restricted_arsp(lifted_pi, lifted_ts).holds == base_verdict
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
@@ -260,9 +285,9 @@ class TestSingletonRecovery:
         }
         instance = parse_instance(json.dumps(tree))
         report = run_check(instance, restricted=True)
-        lifted, lifted_pi, lifted_ts = lifted_view(instance)
+        lifted_pi, lifted_ts = lifted_view(instance)
         assert report.restricted_holds == report.outcome.rationalizable
-        assert check_restricted_arsp(lifted_pi, lifted_ts, lifted).holds == report.restricted_holds
+        assert check_restricted_arsp(lifted_pi, lifted_ts).holds == report.restricted_holds
         ok, failures = run_verify(instance, report.to_structured())
         assert ok, failures
 
@@ -291,9 +316,10 @@ class TestSingletonRecovery:
         instance = parse_instance(json.dumps(tree))
         base = run_check(instance).outcome
         report = run_check(instance, restricted=True)
-        lifted, lifted_pi, lifted_ts = lifted_view(instance)
+        lifted_pi, lifted_ts = lifted_view(instance)
+        lifted = lifted_pi.layout
         to = lifted.singleton_coordinates
-        assert report.layout == lifted.layout
+        assert report.layout == lifted
         assert report.restricted_holds == base.rationalizable
         if base.rationalizable:
             assert [w for _, w in report.outcome.mixture.weights] == [
@@ -334,11 +360,10 @@ class TestLiftedView:
     @staticmethod
     def chosen_subsets(lifted, type_set):
         """Each lifted type as the subset it chooses in every problem."""
-        layout = lifted.layout
         out = set()
         for t in type_set.types:
             out.add(tuple(
-                lifted.block_subsets(j)[c - layout.block_offsets[j]]
+                lifted.block_subsets(j)[c - lifted.block_offsets[j]]
                 for j, c in enumerate(t.chosen)
             ))
         return out
@@ -352,9 +377,8 @@ class TestLiftedView:
                 tuple((min(p.members, key=order.index),) for p in problems)
                 for order in permutations(range(universe.size))
             }
-            lifted, _, type_set = lifted_view(
-                self.instance(universe, problems, "linear-orders")
-            )
+            _, type_set = lifted_view(self.instance(universe, problems, "linear-orders"))
+            lifted = type_set.layout
             correspondence = correspondence_types_from_linear_orders(lifted)
             for lifted_types in (type_set, correspondence):
                 assert len(lifted_types) == len(expected)
@@ -367,7 +391,8 @@ class TestLiftedView:
             orders = types_from_linear_orders(layout).types
             base = rng.sample(orders, rng.randrange(1, len(orders) + 1))
             rows = [list(type_bits(t, layout)) for t in base]
-            lifted, _, type_set = lifted_view(self.instance(universe, problems, rows))
+            _, type_set = lifted_view(self.instance(universe, problems, rows))
+            lifted = type_set.layout
             expected = {
                 tuple((problems[j].members[c - layout.block_offsets[j]],)
                       for j, c in enumerate(t.chosen))

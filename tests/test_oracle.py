@@ -145,12 +145,12 @@ def _brute_force(name, ties):
     lifted = LIFTED[name]
     if ties:
         patterns = brute_force_weak_order_patterns(lifted)
-        types = make_type_set(map(ChoiceTypeVector, patterns), lifted.layout)
+        types = make_type_set(map(ChoiceTypeVector, patterns), lifted)
     else:
         base = lifted.base_layout
         base_types = make_type_set(map(ChoiceTypeVector, brute_force_order_patterns(base)), base)
         types = singleton_types(base_types, lifted)
-    return OrderTypes(lifted, ties), lifted.layout, types
+    return OrderTypes(lifted, ties), lifted, types
 
 
 def _random_functional(rng, n, fractions):
@@ -316,9 +316,8 @@ def test_rank_assignments_give_every_weak_order_once(n):
 
 
 def test_lifted_types_pick_singletons_only():
-    lifted = LIFTED["lifted-all-subsets-3"]
-    linear, weak = OrderTypes(lifted), OrderTypes(lifted, ties=True)
-    layout = lifted.layout
+    layout = LIFTED["lifted-all-subsets-3"]
+    linear, weak = OrderTypes(layout), OrderTypes(layout, ties=True)
     # Subsets are ordered by size, then by position: each block starts with
     # the empty set and the singleton of its first member, and ends with the
     # whole problem. Picking the whole problem is no linear-order choice,

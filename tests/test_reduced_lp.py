@@ -80,7 +80,7 @@ def _lifted_domain(rng):
     build = rng.choice(
         (correspondence_types_from_linear_orders, correspondence_types_from_weak_orders)
     )
-    return lifted.layout, build(lifted)
+    return lifted, build(lifted)
 
 
 def _explicit_domain(rng):

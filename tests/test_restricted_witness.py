@@ -48,14 +48,14 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIVE_ALTERNATIVES = ROOT / "tests" / "fixtures" / "five_alternatives_set_valued.json"
 
 
-def dense_margin_holds(pi, type_set, lifted):
+def dense_margin_holds(pi, type_set):
     """The restricted axiom by the LP with one dense margin row per type R:
 
         sum_s y_s * (T_s . pi - T_s . R) - surplus_R = 1,   y, surplus >= 0,
 
     which is feasible iff the axiom fails.
     """
-    trials = restricted_trials(lifted)
+    trials = restricted_trials(pi.layout)
     trial_pi = [inner(t, pi) for t in trials]
     n_trials = len(trials)
     rows = []
@@ -116,7 +116,7 @@ def _family(instance, family):
     """The instance's keyword types as the order engine or as the listed set."""
     if family == "listed":
         return instance.type_set
-    return OrderTypes(instance.lifted, ties=instance.types == "weak-orders")
+    return OrderTypes(instance.layout, ties=instance.types == "weak-orders")
 
 
 @pytest.mark.parametrize("family", ["orders", "listed"])
@@ -124,9 +124,9 @@ def _family(instance, family):
 @given(set_valued_texts())
 def test_restricted_lp_agrees_with_dense_margins(family, text):
     instance = parse_instance(text)
-    pi, lifted = instance.pi, instance.lifted
-    result = check_restricted_arsp(pi, _family(instance, family), lifted)
-    assert result.holds == dense_margin_holds(pi, instance.type_set, lifted)
+    pi = instance.pi
+    result = check_restricted_arsp(pi, _family(instance, family))
+    assert result.holds == dense_margin_holds(pi, instance.type_set)
     assert bool(result.mixture) == result.holds != bool(result.trials)
 
 
@@ -139,7 +139,7 @@ def test_restricted_oracle_prices_its_own_columns(family, text, data):
     # (surplus columns, then the types) attaining it; every entry is an
     # integer.
     instance = parse_instance(text)
-    queries = restricted_trials(instance.lifted)
+    queries = restricted_trials(instance.layout)
     oracle = membership.TypeColumns(
         _family(instance, family), [t.coordinates for t in queries], surplus=True
     )
@@ -159,9 +159,9 @@ def test_explicit_types_agree_with_dense_margins(text):
     # reach the restricted LP. The LP's own witness must verify even where
     # check reports another one.
     instance = parse_instance(text)
-    pi, type_set, lifted = instance.pi, instance.type_set, instance.lifted
-    result = check_restricted_arsp(pi, type_set, lifted)
-    assert result.holds == dense_margin_holds(pi, type_set, lifted)
+    pi, type_set = instance.pi, instance.type_set
+    result = check_restricted_arsp(pi, type_set)
+    assert result.holds == dense_margin_holds(pi, type_set)
     report = run_check(instance, restricted=True)
     assert report.restricted_holds == result.holds
     assert run_verify(instance, report.to_structured()) == (True, [])
@@ -172,8 +172,8 @@ def test_explicit_types_agree_with_dense_margins(text):
 
 def _empty_set_trials(instance):
     """The restricted queries "a subset of the empty set" that the data gives mass."""
-    lifted = instance.lifted
-    empty = (lifted.coordinate_for_subset(j, ()) for j in range(lifted.layout.problem_count))
+    lifted = instance.layout
+    empty = (lifted.coordinate_for_subset(j, ()) for j in range(lifted.problem_count))
     return [Trial(j, (c,)) for j, c in enumerate(empty) if instance.pi.values[c]]
 
 
@@ -185,7 +185,7 @@ def test_check_agrees_with_dense_margins(text):
     # first problem with such mass is the whole witness.
     instance = parse_instance(text)
     report = run_check(instance, restricted=True)
-    holds = dense_margin_holds(instance.pi, instance.type_set, instance.lifted)
+    holds = dense_margin_holds(instance.pi, instance.type_set)
     assert report.restricted_holds == holds
     empty = _empty_set_trials(instance)
     if empty:
@@ -255,7 +255,7 @@ def test_types_picking_the_empty_set_reach_the_restricted_lp(monkeypatch):
     assert len(calls) == 1
     assert not report.outcome.rationalizable
     assert report.restricted_holds
-    assert dense_margin_holds(instance.pi, instance.type_set, instance.lifted)
+    assert dense_margin_holds(instance.pi, instance.type_set)
     (picks_empty, weight), = report.restricted.mixture
     assert picks_empty.chosen == (0,) and weight == 1
     assert run_verify(instance, report.to_structured()) == (True, [])

@@ -95,7 +95,7 @@ def _written_out(tree):
     """The same instance with its types as explicit 0/1 rows."""
     instance = parse_instance(json.dumps(tree))
     engine = OrderTypes(
-        instance.layout if instance.lifted is None else instance.lifted,
+        instance.layout,
         ties=tree["types"] == "weak-orders",
     )
     rows = [list(type_bits(t, instance.layout)) for t in engine.types().types]

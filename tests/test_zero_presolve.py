@@ -188,7 +188,7 @@ def set_valued_instances(draw):
 def test_mass_no_type_picks_is_refuted_without_an_lp(case):
     tree, data = case
     instance = parse_instance(json.dumps(tree))
-    pi, type_set, lifted = instance.pi, instance.type_set, instance.lifted
+    pi, type_set, lifted = instance.pi, instance.type_set, instance.layout
     picked = {c for t in type_set.types for c in t.chosen}
     unpicked = [c for c, v in enumerate(pi.values) if v and c not in picked]
     solve, calls = membership.solve_equality_feasibility, []
